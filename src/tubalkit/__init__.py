@@ -8,18 +8,7 @@ reproducible recovery experiments.
 """
 
 from .algebra import ctranspose, identity_tensor, is_fdiagonal, is_orthogonal, tprod
-from .core import (
-    bcirc,
-    bdiag,
-    dft3,
-    fold,
-    fro_norm,
-    idft3,
-    inner,
-    l1_norm,
-    linf_norm,
-    unfold,
-)
+from .core import fro_norm, inner, l1_norm, linf_norm
 from .decomposition import (
     TSvdFactors,
     average_rank,
@@ -41,19 +30,14 @@ __all__ = [
     "SolverConfig",
     "TSvdFactors",
     "average_rank",
-    "bcirc",
-    "bdiag",
     "best_rank_k",
     "check_subgradient",
     "ctranspose",
     "default_lambda",
-    "dft3",
-    "fold",
     "fro_norm",
     "gen_low_tubal_rank",
     "gen_sparse_bernoulli",
     "identity_tensor",
-    "idft3",
     "incoherence",
     "inner",
     "is_fdiagonal",
@@ -71,7 +55,6 @@ __all__ = [
     "tsvd",
     "tsvt",
     "tubal_rank",
-    "unfold",
 ]
 
 __version__ = "0.1.0"

@@ -2,13 +2,13 @@
 
 The t-product of (n1, n2, n3) with (n2, l, n3) is defined through the action
 of the block circulant matrix on the unfolded right operand; here it is
-computed in the Fourier domain with per-slice matrix products on slices
-0..floor(n3/2) only, mirroring the remaining slices by conjugate symmetry.
+computed as per-slice matrix products of the two real-FFT half spectra,
+followed by the inverse real FFT.
 """
 
 import numpy as np
 
-from .core import as_tensor3, idft3, mirror_spectrum
+from .core import as_tensor3, from_half_spectrum, half_matmul, half_spectrum
 from .errors import ShapeMismatch
 
 
@@ -19,23 +19,12 @@ def tprod(a, b):
     n1, n2, n3 = a.shape
     if b.shape[0] != n2 or b.shape[2] != n3:
         raise ShapeMismatch(f"cannot t-multiply {a.shape} by {b.shape}")
-    if n3 == 1:
-        # Direct matrix product: keeps the matrix reduction exact, no FFT noise.
-        return np.ascontiguousarray((a[:, :, 0] @ b[:, :, 0])[:, :, None])
-    h = n3 // 2 + 1
-    abar = np.fft.fft(a, axis=2)[:, :, :h]
-    bbar = np.fft.fft(b, axis=2)[:, :, :h]
-    chalf = np.matmul(np.moveaxis(abar, 2, 0), np.moveaxis(bbar, 2, 0))
-    cbar = mirror_spectrum(np.moveaxis(chalf, 0, 2), n3)
-    return idft3(cbar)
+    return from_half_spectrum(half_matmul(half_spectrum(a), half_spectrum(b), n3), n3)
 
 
 def ctranspose(a):
     """Transpose each frontal slice and reverse the order of slices 1..n3-1."""
     a = as_tensor3(a)
-    n3 = a.shape[2]
-    if n3 == 1:
-        return np.ascontiguousarray(a.transpose(1, 0, 2))
     reordered = np.concatenate([a[:, :, :1], a[:, :, :0:-1]], axis=2)
     return np.ascontiguousarray(reordered.transpose(1, 0, 2))
 

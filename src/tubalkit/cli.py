@@ -210,7 +210,7 @@ def cmd_image(args):
         return EXIT_IO
     n1, n2, _ = original.shape
     corrupted, _mask = io.corrupt_pixels(original, args.corrupt, args.seed)
-    lam = 1.0 / math.sqrt(3 * max(n1, n2))
+    lam = default_lambda(n1, n2, 3)
     sol = solve(corrupted, SolverConfig(lam=lam, eps=args.eps, max_iters=args.max_iters))
     recovered_bytes = io.tensor_to_image(sol.l_hat)
     try:
@@ -249,7 +249,6 @@ def build_parser():
     p.add_argument("--out-l")
     p.add_argument("--out-e")
     p.add_argument("--report")
-    p.add_argument("--seed", type=int, default=0)  # accepted for uniformity
     add_solver_flags(p)
 
     p = sub.add_parser("synth", help="generate and solve a synthetic instance")

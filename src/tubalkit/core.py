@@ -1,119 +1,72 @@
-"""Dense 3-way tensor primitives.
+"""Dense 3-way tensor primitives and the mode-3 half-spectrum kernel.
 
 A tensor here is a real float64 ndarray of shape (n1, n2, n3): frontal slice
 k is ``a[:, :, k]`` and tube (i, j) is ``a[i, j, :]``. The mode-3 DFT uses the
-unnormalized forward / (1/n3)-scaled inverse convention, so ``dft3`` of a real
-tensor has a real slice 0 and, 0-based, slice j conjugate to slice n3 - j.
+unnormalized forward / (1/n3)-scaled inverse convention.
 
-``bcirc``, ``bdiag``, ``unfold`` and ``fold`` are dense reference operators.
-They cost O(n3^2) memory and exist as oracles for tests; production paths go
-through the Fourier domain instead.
+The spectrum of a real tensor is conjugate symmetric, so Fourier slices
+0..n3 // 2 carry all of it. Every Fourier-domain path works on that half
+spectrum, an (h, n1, n2) stack with h = n3 // 2 + 1, through the kernel below:
+``half_spectrum`` and ``from_half_spectrum`` are the real FFT and its inverse,
+whose output is real by construction. Slice 0, and slice n3 // 2 when n3 is
+even, are their own conjugates and therefore real; ``half_matmul`` and the
+per-slice SVD keep them in real arithmetic, so for n3 = 1 every path reduces
+to the matrix computation bit for bit.
 """
 
 import numpy as np
 
-from .errors import ShapeMismatch, SymmetryViolation
-
-# Residual imaginary mass below this (relative) is FFT rounding noise and is
-# discarded; above it the caller built an invalid Fourier tensor.
-IMAG_TOL = 1e-8
+from .errors import ShapeMismatch
 
 
 def as_tensor3(a):
-    """Coerce to a float64 3-way array, rejecting other ranks."""
+    """Coerce to a float64 3-way array, rejecting complex input and other ranks."""
+    if np.iscomplexobj(a):
+        raise TypeError("expected a real tensor, got complex input")
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 3:
         raise ShapeMismatch(f"expected a 3-way tensor, got ndim={a.ndim}")
     return a
 
 
-def imag_ratio(z):
-    """Relative Frobenius mass of the imaginary part of a complex array."""
-    denom = np.linalg.norm(z.ravel())
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(z.imag.ravel()) / denom)
+def half_spectrum(a):
+    """Fourier slices 0..n3 // 2 of a real tensor as an (h, n1, n2) complex stack."""
+    return np.ascontiguousarray(np.moveaxis(np.fft.rfft(a, axis=2), 2, 0))
 
 
-def dft3(a):
-    """DFT along every tube: the mode-3 spectrum of a real tensor."""
-    return np.fft.fft(as_tensor3(a), axis=2)
+def from_half_spectrum(stack, n3):
+    """The real (n1, n2, n3) tensor whose half spectrum is the (h, n1, n2) `stack`.
 
-
-def idft3(abar, tol=IMAG_TOL):
-    """Inverse mode-3 DFT back to a real tensor.
-
-    Raises SymmetryViolation if the inverse transform carries more relative
-    imaginary mass than `tol`, which means `abar` was not conjugate symmetric.
+    The imaginary parts of the self-conjugate slices are ignored.
     """
-    abar = np.asarray(abar, dtype=np.complex128)
-    if abar.ndim != 3:
-        raise ShapeMismatch(f"expected a 3-way tensor, got ndim={abar.ndim}")
-    z = np.fft.ifft(abar, axis=2)
-    ratio = imag_ratio(z)
-    if ratio > tol:
-        raise SymmetryViolation(
-            f"imaginary residual {ratio:.3e} exceeds {tol:.1e}; "
-            "input is not the spectrum of a real tensor"
-        )
-    return np.ascontiguousarray(z.real)
+    return np.ascontiguousarray(np.fft.irfft(np.moveaxis(stack, 0, 2), n=n3, axis=2))
 
 
-def mirror_spectrum(half, n3):
-    """Extend Fourier slices 0..floor(n3/2) to all n3 slices by conjugation.
-
-    `half` has shape (n1, n2, floor(n3/2)+1). Slice j of the output for
-    j > floor(n3/2) is the elementwise conjugate of slice n3 - j.
-    """
-    h = n3 // 2 + 1
-    if half.shape[2] != h:
-        raise ShapeMismatch(f"expected {h} leading slices, got {half.shape[2]}")
-    if n3 == 1:
-        return np.array(half, copy=True)
-    mid = half[:, :, (n3 - 1) // 2:0:-1]
-    return np.concatenate([half, np.conj(mid)], axis=2)
+def real_slices(n3):
+    """Indices of the self-conjugate, hence real, half-spectrum slices."""
+    return [0, n3 // 2] if n3 % 2 == 0 else [0]
 
 
-def bcirc(a):
-    """Dense block circulant matrix of shape (n1*n3, n2*n3); block (p, q) is
-    frontal slice (p - q) mod n3."""
-    a = as_tensor3(a)
-    n1, n2, n3 = a.shape
-    out = np.zeros((n1 * n3, n2 * n3))
-    for p in range(n3):
-        for q in range(n3):
-            out[p * n1:(p + 1) * n1, q * n2:(q + 1) * n2] = a[:, :, (p - q) % n3]
+def complex_slices(n3):
+    """The half-spectrum slices paired with a conjugate slice in the full spectrum."""
+    return slice(1, (n3 + 1) // 2)
+
+
+def half_weights(n3):
+    """Multiplicity of each half-spectrum slice in the full spectrum; sums to n3."""
+    w = np.full(n3 // 2 + 1, 2.0)
+    w[real_slices(n3)] = 1.0
+    return w
+
+
+def half_matmul(a, b, n3):
+    """Slice-wise a @ b of two half-spectrum stacks; real slices in real arithmetic."""
+    out = np.empty((a.shape[0], a.shape[1], b.shape[2]), dtype=np.complex128)
+    cx = complex_slices(n3)
+    out[cx] = np.matmul(a[cx], b[cx])
+    for i in real_slices(n3):
+        out[i] = np.ascontiguousarray(a[i].real) @ np.ascontiguousarray(b[i].real)
     return out
-
-
-def bdiag(abar):
-    """Dense block diagonal matrix with the frontal slices on the diagonal."""
-    abar = np.asarray(abar)
-    if abar.ndim != 3:
-        raise ShapeMismatch(f"expected a 3-way tensor, got ndim={abar.ndim}")
-    n1, n2, n3 = abar.shape
-    out = np.zeros((n1 * n3, n2 * n3), dtype=abar.dtype)
-    for k in range(n3):
-        out[k * n1:(k + 1) * n1, k * n2:(k + 1) * n2] = abar[:, :, k]
-    return out
-
-
-def unfold(a):
-    """Stack frontal slices vertically into an (n1*n3) x n2 matrix."""
-    a = as_tensor3(a)
-    n1, n2, n3 = a.shape
-    return a.transpose(2, 0, 1).reshape(n1 * n3, n2)
-
-
-def fold(m, n3):
-    """Inverse of unfold; the row count must be divisible by n3."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeMismatch(f"expected a matrix, got ndim={m.ndim}")
-    rows, n2 = m.shape
-    if n3 < 1 or rows % n3 != 0:
-        raise ShapeMismatch(f"cannot fold {rows} rows into n3={n3} slices")
-    return np.ascontiguousarray(m.reshape(n3, rows // n3, n2).transpose(1, 2, 0))
 
 
 def inner(a, b):

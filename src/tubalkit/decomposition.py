@@ -1,9 +1,10 @@
 """t-SVD factorization, singular values, tubal/average rank, best rank-k.
 
-The factorization decomposes Fourier slices 0..floor(n3/2) only and fills the
-remaining slices by conjugate mirroring. Decomposing every slice independently
-would break realness of the inverse transform, because the matrix SVD is not
-unique: the mirrored construction is what guarantees real factors.
+The factorization decomposes the real-FFT half spectrum, Fourier slices
+0..n3 // 2, and inverts each factor with the inverse real FFT, which implies
+the conjugate slices. Decomposing all n3 slices independently would break
+realness, because the matrix SVD is not unique; here the factors are real by
+construction. The self-conjugate slices are decomposed in real arithmetic.
 
 The module keeps a running count of per-slice matrix SVDs in
 ``slice_svd_count`` as a workload diagnostic for tests; it is not part of the
@@ -14,8 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IMAG_TOL, as_tensor3, imag_ratio, mirror_spectrum
-from .errors import NumericalFailure, RankOutOfRange, SymmetryViolation
+from .core import (
+    as_tensor3,
+    complex_slices,
+    from_half_spectrum,
+    half_matmul,
+    half_spectrum,
+    half_weights,
+    real_slices,
+)
+from .errors import NumericalFailure, RankOutOfRange
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -32,45 +41,9 @@ def _count(n):
     _svd_calls += n
 
 
-def _half_weights(n3):
-    """Multiplicity of each retained Fourier slice in the full spectrum."""
-    h = n3 // 2 + 1
-    w = np.full(h, 2.0)
-    w[0] = 1.0
-    if n3 % 2 == 0:
-        w[-1] = 1.0
-    return w
-
-
-def _half_spectrum(a):
-    """Fourier slices 0..floor(n3/2) as an (h, n1, n2) complex stack.
-
-    Slice 0, and the Nyquist slice when n3 is even, are forced real; they are
-    self-paired under conjugation so any imaginary mass there is an error.
-    """
-    a = as_tensor3(a)
-    n3 = a.shape[2]
-    h = n3 // 2 + 1
-    half = np.ascontiguousarray(np.moveaxis(np.fft.fft(a, axis=2)[:, :, :h], 2, 0))
-    for idx in _real_slice_indices(n3):
-        ratio = imag_ratio(half[idx])
-        if ratio > IMAG_TOL:
-            raise SymmetryViolation(
-                f"self-conjugate Fourier slice {idx} has imaginary residual {ratio:.3e}"
-            )
-        half[idx] = half[idx].real
-    return half
-
-
-def _real_slice_indices(n3):
-    if n3 % 2 == 0 and n3 > 1:
-        return (0, n3 // 2)
-    return (0,)
-
-
 def _svd_half(half, n3, full_matrices):
-    """SVD each retained slice; real slices use the real path so their factors
-    stay exactly real."""
+    """SVD each half-spectrum slice; the real slices take the real path so
+    their factors stay exactly real."""
     h, n1, n2 = half.shape
     k = min(n1, n2)
     ku = n1 if full_matrices else k
@@ -79,15 +52,11 @@ def _svd_half(half, n3, full_matrices):
     s = np.empty((h, k))
     vh = np.empty((h, kv, n2), dtype=np.complex128)
 
-    real_idx = list(_real_slice_indices(n3))
-    complex_idx = [i for i in range(h) if i not in real_idx]
+    real = real_slices(n3)
+    cx = complex_slices(n3)
     try:
-        for i in real_idx:
-            u[i], s[i], vh[i] = np.linalg.svd(half[i].real, full_matrices=full_matrices)
-        if complex_idx:
-            u[complex_idx], s[complex_idx], vh[complex_idx] = np.linalg.svd(
-                half[complex_idx], full_matrices=full_matrices
-            )
+        u[real], s[real], vh[real] = np.linalg.svd(half[real].real, full_matrices=full_matrices)
+        u[cx], s[cx], vh[cx] = np.linalg.svd(half[cx], full_matrices=full_matrices)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"per-slice SVD did not converge: {exc}") from exc
     _count(h)
@@ -101,38 +70,23 @@ def _half_singvals(a):
     descending, and weights are the slice multiplicities summing to n3.
     """
     a = as_tensor3(a)
-    n3 = a.shape[2]
-    half = _half_spectrum(a)
+    half = half_spectrum(a)
     try:
         s = np.linalg.svd(half, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"per-slice SVD did not converge: {exc}") from exc
     _count(half.shape[0])
-    return s, _half_weights(n3)
+    return s, half_weights(a.shape[2])
 
 
 @dataclass(frozen=True)
 class TSvdFactors:
-    """Orthogonal u, f-diagonal s, orthogonal v with source = u * s * v^T.
-
-    ``imag_residual`` records the largest relative imaginary mass seen across
-    the three factors before the real parts were taken; for a valid mirrored
-    construction it sits at rounding level.
-    """
+    """Orthogonal u, f-diagonal s, orthogonal v with source = u * s * v^T."""
 
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
     kind: str  # "full" or "skinny"
-    imag_residual: float = 0.0
-
-
-def _ifft_factor(half_stack, n3):
-    """Mirror an (h, n, k) Fourier stack to n3 slices and invert to a real
-    tensor, returning (tensor, relative imaginary residual)."""
-    full = mirror_spectrum(np.moveaxis(half_stack, 0, 2), n3)
-    z = np.fft.ifft(full, axis=2)
-    return np.ascontiguousarray(z.real), imag_ratio(z)
 
 
 def _embed_fdiag(s, n1, n2):
@@ -147,12 +101,11 @@ def tsvd(a):
     """Full t-SVD: a = u * s * v^T with real orthogonal u, v and f-diagonal s."""
     a = as_tensor3(a)
     n1, n2, n3 = a.shape
-    half = _half_spectrum(a)
-    ubar, sbar, vhbar = _svd_half(half, n3, full_matrices=True)
-    u, ru = _ifft_factor(ubar, n3)
-    s, rs = _ifft_factor(_embed_fdiag(sbar, n1, n2), n3)
-    v, rv = _ifft_factor(np.conj(np.swapaxes(vhbar, 1, 2)), n3)
-    return TSvdFactors(u=u, s=s, v=v, kind="full", imag_residual=max(ru, rs, rv))
+    ubar, sbar, vhbar = _svd_half(half_spectrum(a), n3, full_matrices=True)
+    u = from_half_spectrum(ubar, n3)
+    s = from_half_spectrum(_embed_fdiag(sbar, n1, n2), n3)
+    v = from_half_spectrum(np.conj(np.swapaxes(vhbar, 1, 2)), n3)
+    return TSvdFactors(u=u, s=s, v=v, kind="full")
 
 
 def _avg_singvals(sbar, weights, n3):
@@ -171,13 +124,12 @@ def skinny_tsvd(a, rank_tol=DEFAULT_RANK_TOL):
         raise ValueError(f"rank_tol must be positive, got {rank_tol}")
     a = as_tensor3(a)
     n3 = a.shape[2]
-    half = _half_spectrum(a)
-    ubar, sbar, vhbar = _svd_half(half, n3, full_matrices=False)
-    r = _rank_from_avg(_avg_singvals(sbar, _half_weights(n3), n3), rank_tol)
-    u, ru = _ifft_factor(ubar[:, :, :r], n3)
-    s, rs = _ifft_factor(_embed_fdiag(sbar[:, :r], r, r), n3)
-    v, rv = _ifft_factor(np.conj(np.swapaxes(vhbar[:, :r, :], 1, 2)), n3)
-    return TSvdFactors(u=u, s=s, v=v, kind="skinny", imag_residual=max(ru, rs, rv))
+    ubar, sbar, vhbar = _svd_half(half_spectrum(a), n3, full_matrices=False)
+    r = _rank_from_avg(_avg_singvals(sbar, half_weights(n3), n3), rank_tol)
+    u = from_half_spectrum(ubar[:, :, :r], n3)
+    s = from_half_spectrum(_embed_fdiag(sbar[:, :r], r, r), n3)
+    v = from_half_spectrum(np.conj(np.swapaxes(vhbar[:, :r, :], 1, 2)), n3)
+    return TSvdFactors(u=u, s=s, v=v, kind="skinny")
 
 
 def singular_values(a):
@@ -216,8 +168,6 @@ def best_rank_k(a, k):
         raise RankOutOfRange(f"rank {k} outside [0, {min(n1, n2)}]")
     if k == 0:
         return np.zeros_like(a)
-    half = _half_spectrum(a)
-    ubar, sbar, vhbar = _svd_half(half, n3, full_matrices=False)
-    trunc = np.matmul(ubar[:, :, :k] * sbar[:, None, :k], vhbar[:, :k, :])
-    out, _ = _ifft_factor(trunc, n3)
-    return out
+    ubar, sbar, vhbar = _svd_half(half_spectrum(a), n3, full_matrices=False)
+    trunc = half_matmul(ubar[:, :, :k] * sbar[:, None, :k], vhbar[:, :k, :], n3)
+    return from_half_spectrum(trunc, n3)

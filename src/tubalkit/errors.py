@@ -9,10 +9,6 @@ class ShapeMismatch(ValueError):
     """Operand dimensions do not conform."""
 
 
-class SymmetryViolation(ValueError):
-    """A Fourier-domain tensor lacks the conjugate symmetry of a real signal."""
-
-
 class NumericalFailure(RuntimeError):
     """A per-slice SVD did not converge."""
 

@@ -59,11 +59,10 @@ def incoherence(a, rank_tol=DEFAULT_RANK_TOL):
     if r == 0:
         raise ZeroTensor("incoherence is undefined for the zero tensor")
     # ||ctranspose(u) * e_i||_F^2 = (1/n3) * sum_j ||row i of Fourier slice j||^2
-    # because the column basis tensor has an all-ones Fourier tube.
-    ubar = np.fft.fft(fac.u, axis=2)
-    vbar = np.fft.fft(fac.v, axis=2)
-    row_mass_u = np.sum(np.abs(ubar) ** 2, axis=(1, 2)) / n3
-    row_mass_v = np.sum(np.abs(vbar) ** 2, axis=(1, 2)) / n3
+    # because the column basis tensor has an all-ones Fourier tube; by
+    # Parseval that is the squared Frobenius norm of horizontal slice i of u.
+    row_mass_u = np.sum(fac.u**2, axis=(1, 2))
+    row_mass_v = np.sum(fac.v**2, axis=(1, 2))
     mu_u = n1 * n3 / r * float(row_mass_u.max())
     mu_v = n2 * n3 / r * float(row_mass_v.max())
     uv = tprod(fac.u, ctranspose(fac.v))

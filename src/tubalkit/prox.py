@@ -8,15 +8,8 @@ norm proximal problem.
 
 import numpy as np
 
-from .core import as_tensor3, imag_ratio, mirror_spectrum
-from .decomposition import _count, _half_spectrum, _svd_half
-
-_last_imag_residual = 0.0
-
-
-def last_imag_residual():
-    """Relative imaginary mass discarded by the most recent tsvt call."""
-    return _last_imag_residual
+from .core import as_tensor3, from_half_spectrum, half_matmul, half_spectrum
+from .decomposition import _svd_half
 
 
 def soft_threshold(x, kappa):
@@ -31,25 +24,13 @@ def tsvt(y, tau):
     """Proximal operator of the tensor nuclear norm at threshold tau.
 
     Minimizes tau * ||x||_tnn + 0.5 * ||x - y||_F^2 by soft-thresholding the
-    singular values of each retained Fourier slice and mirroring the rest.
+    singular values of each half-spectrum slice and inverting the real FFT.
+    For n3 = 1 this is matrix singular value thresholding, bit for bit.
     """
-    global _last_imag_residual
     if tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     y = as_tensor3(y)
     n3 = y.shape[2]
-    if n3 == 1:
-        # Matrix singular value thresholding, bit-for-bit.
-        u, s, vh = np.linalg.svd(y[:, :, 0], full_matrices=False)
-        _count(1)
-        shrunk = np.maximum(s - tau, 0.0)
-        _last_imag_residual = 0.0
-        return np.ascontiguousarray(((u * shrunk) @ vh)[:, :, None])
-    half = _half_spectrum(y)
-    u, s, vh = _svd_half(half, n3, full_matrices=False)
+    u, s, vh = _svd_half(half_spectrum(y), n3, full_matrices=False)
     shrunk = np.maximum(s - tau, 0.0)
-    whalf = np.matmul(u * shrunk[:, None, :], vh)
-    full = mirror_spectrum(np.moveaxis(whalf, 0, 2), n3)
-    z = np.fft.ifft(full, axis=2)
-    _last_imag_residual = imag_ratio(z)
-    return np.ascontiguousarray(z.real)
+    return from_half_spectrum(half_matmul(u * shrunk[:, None, :], vh, n3), n3)

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from tubalkit.algebra import ctranspose, identity_tensor, is_fdiagonal, is_orthogonal, tprod
-from tubalkit.core import bcirc, dft3, fold, fro_norm, unfold
+from tubalkit.core import fro_norm
 from tubalkit.decomposition import tsvd
 from tubalkit.errors import ShapeMismatch
+
+from oracles import bcirc, dft3, fold, unfold
 
 
 def tprod_oracle(a, b):

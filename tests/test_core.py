@@ -3,19 +3,13 @@
 import numpy as np
 import pytest
 
-from tubalkit.core import (
-    bcirc,
-    bdiag,
-    dft3,
-    fold,
-    fro_norm,
-    idft3,
-    inner,
-    l1_norm,
-    linf_norm,
-    unfold,
-)
-from tubalkit.errors import ShapeMismatch, SymmetryViolation
+from tubalkit.algebra import tprod
+from tubalkit.core import fro_norm, inner, l1_norm, linf_norm
+from tubalkit.errors import ShapeMismatch
+from tubalkit.norms import tnn
+from tubalkit.solver import solve
+
+from oracles import SymmetryViolation, bcirc, bdiag, dft3, fold, idft3, unfold
 
 
 def brute_dft(v):
@@ -165,6 +159,16 @@ def test_inner_fourier_transfer():
 def test_inner_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         inner(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))
+
+
+def test_complex_input_is_rejected():
+    z = np.ones((2, 2, 2)) * (1 + 1j)
+    with pytest.raises(TypeError):
+        tprod(z, np.ones((2, 2, 2)))
+    with pytest.raises(TypeError):
+        tnn(z)
+    with pytest.raises(TypeError):
+        solve(z)
 
 
 def test_l1_linf():

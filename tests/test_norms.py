@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from tubalkit.algebra import ctranspose, identity_tensor, tprod
-from tubalkit.core import bcirc, fro_norm, inner
+from tubalkit.core import fro_norm, inner
 from tubalkit.decomposition import average_rank, skinny_tsvd, tsvd
 from tubalkit.errors import ShapeMismatch, ZeroTensor
 from tubalkit.norms import check_subgradient, incoherence, spectral_norm, tnn
+
+from oracles import bcirc
 
 
 def rank_r_tensor(n1, n2, n3, r, seed):
