@@ -5,10 +5,6 @@ The factorization decomposes the real-FFT half spectrum, Fourier slices
 the conjugate slices. Decomposing all n3 slices independently would break
 realness, because the matrix SVD is not unique; here the factors are real by
 construction. The self-conjugate slices are decomposed in real arithmetic.
-
-The module keeps a running count of per-slice matrix SVDs in
-``slice_svd_count`` as a workload diagnostic for tests; it is not part of the
-numerical contract.
 """
 
 from dataclasses import dataclass
@@ -27,18 +23,6 @@ from .core import (
 from .errors import NumericalFailure, RankOutOfRange
 
 DEFAULT_RANK_TOL = 1e-10
-
-_svd_calls = 0
-
-
-def slice_svd_count():
-    """Total per-slice matrix SVDs executed so far in this process."""
-    return _svd_calls
-
-
-def _count(n):
-    global _svd_calls
-    _svd_calls += n
 
 
 def _svd_half(half, n3, full_matrices):
@@ -59,7 +43,6 @@ def _svd_half(half, n3, full_matrices):
         u[cx], s[cx], vh[cx] = np.linalg.svd(half[cx], full_matrices=full_matrices)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"per-slice SVD did not converge: {exc}") from exc
-    _count(h)
     return u, s, vh
 
 
@@ -75,7 +58,6 @@ def _half_singvals(a):
         s = np.linalg.svd(half, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"per-slice SVD did not converge: {exc}") from exc
-    _count(half.shape[0])
     return s, half_weights(a.shape[2])
 
 

@@ -25,25 +25,33 @@ class ZeroTensor(ValueError):
     """Operation undefined for the all-zero tensor."""
 
 
-class BadMagic(ValueError):
+class DataError(ValueError):
+    """Input data, a file or its payload, is unusable as given."""
+
+
+class NonFiniteInput(DataError):
+    """Input tensor contains NaN or Inf."""
+
+
+class BadMagic(DataError):
     """Tensor file does not start with the expected magic bytes."""
 
 
-class Truncated(ValueError):
+class Truncated(DataError):
     """Tensor file ends before the declared payload is complete."""
 
 
-class DimensionOverflow(ValueError):
+class DimensionOverflow(DataError):
     """Declared dimensions are zero or too large to allocate safely."""
 
 
-class UnsupportedFormat(ValueError):
+class UnsupportedFormat(DataError):
     """Image is not binary 8-bit P6."""
 
 
-class MalformedHeader(ValueError):
+class MalformedHeader(DataError):
     """Image header or payload cannot be parsed."""
 
 
-class ZeroReference(ValueError):
+class ZeroReference(DataError):
     """PSNR reference signal has zero peak."""

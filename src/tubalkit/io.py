@@ -162,12 +162,9 @@ def psnr(reference, estimate):
     return 10.0 * math.log10(peak**2 / mse)
 
 
-def render_report(fields):
-    """Canonical JSON for experiment reports.
-
-    None-valued fields are omitted, infinities become the string "exact", and
-    keys are sorted, so identical runs produce identical bytes.
-    """
+def _report_values(fields):
+    """Report fields as written: None-valued fields omitted, infinities as the
+    string "exact", numpy scalars as Python scalars."""
     clean = {}
     for key, value in fields.items():
         if value is None:
@@ -177,17 +174,22 @@ def render_report(fields):
         if isinstance(value, (np.floating, np.integer)):
             value = value.item()
         clean[key] = value
-    return json.dumps(clean, sort_keys=True, indent=2) + "\n"
+    return clean
+
+
+def render_report(fields):
+    """Canonical JSON for experiment reports.
+
+    None-valued fields are omitted, infinities become the string "exact", and
+    keys are sorted, so identical runs produce identical bytes.
+    """
+    return json.dumps(_report_values(fields), sort_keys=True, indent=2) + "\n"
 
 
 def write_scalar_csv(path, fields):
     """Key/value CSV for scalar reports, in insertion order."""
     lines = ["key,value"]
-    for key, value in fields.items():
-        if value is None:
-            continue
-        if isinstance(value, float) and math.isinf(value):
-            value = "exact"
+    for key, value in _report_values(fields).items():
         lines.append(f"{key},{value}")
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -13,9 +13,11 @@ from .decomposition import _svd_half
 
 
 def soft_threshold(x, kappa):
-    """Elementwise sign(x) * max(|x| - kappa, 0)."""
+    """Elementwise sign(x) * max(|x| - kappa, 0) of a real array of any rank."""
     if kappa < 0:
         raise ValueError(f"threshold must be nonnegative, got {kappa}")
+    if np.iscomplexobj(x):
+        raise TypeError("expected a real array, got complex input")
     x = np.asarray(x, dtype=np.float64)
     return np.sign(x) * np.maximum(np.abs(x) - kappa, 0.0)
 

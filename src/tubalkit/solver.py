@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import as_tensor3, linf_norm
+from .errors import NonFiniteInput
 from .prox import soft_threshold, tsvt
 
 
@@ -74,7 +75,7 @@ def solve(x, cfg=None):
     """Decompose x into a low-tubal-rank part and a sparse part."""
     x = as_tensor3(x)
     if not np.all(np.isfinite(x)):
-        raise ValueError("input tensor contains NaN or Inf")
+        raise NonFiniteInput("input tensor contains NaN or Inf")
     if cfg is None:
         cfg = SolverConfig()
     lam = cfg.lam if cfg.lam is not None else default_lambda(*x.shape)

@@ -4,7 +4,8 @@
 block diagonal matrices of the t-product definition; they cost O(n3^2) memory.
 ``dft3`` and ``idft3`` are the full mode-3 DFT and its inverse. The library
 itself works on the real-FFT half spectrum instead (``tubalkit.core``); these
-exist only as oracles to check it against.
+exist only as oracles to check it against. ``SvdCounter`` spies on
+``np.linalg.svd`` to check how many matrix SVDs a call costs.
 """
 
 import numpy as np
@@ -93,3 +94,24 @@ def fold(m, n3):
     if n3 < 1 or rows % n3 != 0:
         raise ShapeMismatch(f"cannot fold {rows} rows into n3={n3} slices")
     return np.ascontiguousarray(m.reshape(n3, rows // n3, n2).transpose(1, 2, 0))
+
+
+class SvdCounter:
+    """Counts the matrices ``np.linalg.svd`` decomposes while the test runs.
+
+    Installs itself with ``monkeypatch``, so the real function is restored at
+    teardown. A batched call counts every matrix in its batch,
+    ``prod(s.shape[:-1])``.
+    """
+
+    def __init__(self, monkeypatch):
+        self.matrices = 0
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            out = svd(*args, **kwargs)
+            s = out[1] if isinstance(out, tuple) else out
+            self.matrices += int(np.prod(s.shape[:-1]))
+            return out
+
+        monkeypatch.setattr(np.linalg, "svd", counted)

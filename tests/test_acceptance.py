@@ -17,13 +17,13 @@ from tubalkit import io
 from tubalkit.algebra import ctranspose, identity_tensor, is_orthogonal, tprod
 from tubalkit.cli import main
 from tubalkit.core import fro_norm
-from tubalkit.decomposition import singular_values, slice_svd_count, tsvd, tubal_rank
+from tubalkit.decomposition import singular_values, tsvd, tubal_rank
 from tubalkit.norms import spectral_norm, tnn
 from tubalkit.prox import tsvt
 from tubalkit.solver import SolverConfig, solve
 from tubalkit.synth import gen_low_tubal_rank, gen_sparse_bernoulli, phase_grid
 
-from oracles import bcirc, dft3, fold, unfold
+from oracles import SvdCounter, bcirc, dft3, fold, unfold
 from test_solver import matrix_rpca_admm
 
 
@@ -107,14 +107,15 @@ def test_criterion_3_algebra_oracles():
 # ── 4. t-SVD suite ───────────────────────────────────────────────────────────
 
 
-def test_criterion_4_tsvd_suite():
+def test_criterion_4_tsvd_suite(monkeypatch):
     with criterion(4, "t-SVD reconstruction/orthogonality/workload"):
+        svds = SvdCounter(monkeypatch)
         rng = np.random.default_rng(4)
         for shape in [(4, 4, 4), (5, 3, 5), (3, 5, 6), (4, 2, 1), (2, 4, 7)]:
             a = rng.normal(size=shape)
-            before = slice_svd_count()
+            before = svds.matrices
             fac = tsvd(a)
-            assert slice_svd_count() - before == shape[2] // 2 + 1
+            assert svds.matrices - before == shape[2] // 2 + 1
             rec = tprod(fac.u, tprod(fac.s, ctranspose(fac.v)))
             assert rel_err(rec, a) <= 1e-8
             assert is_orthogonal(fac.u, tol=1e-8)

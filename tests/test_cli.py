@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from tubalkit import io
-from tubalkit.cli import main
+from tubalkit import errors, io
+from tubalkit.cli import EXIT_CODES, main
 from tubalkit.core import fro_norm
 from tubalkit.synth import gen_low_tubal_rank, gen_sparse_bernoulli
 
@@ -201,3 +201,80 @@ def test_image_rejects_non_p6(tmp_path):
         "--out", str(tmp_path / "out.ppm"),
     )
     assert code == 1
+
+
+# ── exit-code table ──────────────────────────────────────────────────────────
+
+
+def tensor_file(tmp_path, x):
+    path = tmp_path / "x.t3f"
+    io.write_tensor(path, x)
+    return str(path)
+
+
+def nan_tensor(tmp_path, monkeypatch):
+    x = np.zeros((3, 3, 2))
+    x[0, 0, 0] = np.nan
+    return ["decompose", "--input", tensor_file(tmp_path, x)]
+
+
+def report_in_missing_dir(tmp_path, monkeypatch):
+    return ["decompose", "--input", tensor_file(tmp_path, np.ones((3, 3, 2))),
+            "--report", str(tmp_path / "missing" / "r.json")]
+
+
+def black_image(tmp_path, monkeypatch):
+    src = tmp_path / "black.ppm"
+    src.write_bytes(io.tensor_to_image(np.zeros((4, 4, 3))))
+    return ["image", "--input", str(src), "--seed", "1", "--out", str(tmp_path / "o.ppm")]
+
+
+def svd_fails(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    return ["decompose", "--input", tensor_file(tmp_path, np.ones((3, 3, 2)))]
+
+
+def synth(*extra):
+    return lambda tmp_path, monkeypatch: [
+        "synth", "--n1", "4", "--n2", "4", "--n3", "2", "--rank", "1",
+        "--sparsity-count", "1", "--seed", "1", *extra,
+    ]
+
+
+def phase_trials_zero(tmp_path, monkeypatch):
+    return ["phase", "--n", "4", "--n3", "2", "--r-grid", "0.25:0.25:0.25",
+            "--rho-grid", "0.1:0.1:0.1", "--trials", "0", "--seed", "1",
+            "--out", str(tmp_path / "g.csv")]
+
+
+def image_corrupt_out_of_range(tmp_path, monkeypatch):
+    argv = black_image(tmp_path, monkeypatch)
+    return argv + ["--corrupt", "2"]
+
+
+@pytest.mark.parametrize("make_argv, code", [
+    pytest.param(synth("--rank", "9"), 64, id="rank-above-n"),
+    pytest.param(synth("--max-iters", "0"), 64, id="max-iters-zero"),
+    pytest.param(synth("--eps", "-1"), 64, id="negative-eps"),
+    pytest.param(synth("--lambda", "0"), 64, id="zero-lambda"),
+    pytest.param(phase_trials_zero, 64, id="phase-trials-zero"),
+    pytest.param(image_corrupt_out_of_range, 64, id="corrupt-above-one"),
+    pytest.param(report_in_missing_dir, 1, id="report-in-missing-dir"),
+    pytest.param(nan_tensor, 1, id="nan-payload"),
+    pytest.param(black_image, 1, id="all-black-image"),
+    pytest.param(svd_fails, 3, id="svd-linalg-error"),
+])
+def test_library_errors_map_to_exit_codes(tmp_path, monkeypatch, capsys, make_argv, code):
+    assert run_cli(*make_argv(tmp_path, monkeypatch)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_every_library_error_has_an_exit_code():
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)]
+    assert classes
+    for cls in classes:
+        assert any(issubclass(cls, row) for row, _ in EXIT_CODES), cls.__name__

@@ -7,6 +7,7 @@ from tubalkit.algebra import tprod
 from tubalkit.core import fro_norm, inner, l1_norm, linf_norm
 from tubalkit.errors import ShapeMismatch
 from tubalkit.norms import tnn
+from tubalkit.prox import soft_threshold
 from tubalkit.solver import solve
 
 from oracles import SymmetryViolation, bcirc, bdiag, dft3, fold, idft3, unfold
@@ -169,6 +170,8 @@ def test_complex_input_is_rejected():
         tnn(z)
     with pytest.raises(TypeError):
         solve(z)
+    with pytest.raises(TypeError):
+        soft_threshold(z, 0.5)
 
 
 def test_l1_linf():
