@@ -46,6 +46,9 @@ EXIT_CODES = (
 # noise, so the factorization default would overcount.
 SOLUTION_RANK_TOL = 1e-6
 
+# Largest --r-grid/--rho-grid accepted; each value is a row or column of solves.
+MAX_GRID_VALUES = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -61,13 +64,18 @@ def lambda_or_auto(text):
 
 
 def grid(text):
-    """MATLAB-style inclusive range a:step:b."""
+    """MATLAB-style inclusive range a:step:b of at most MAX_GRID_VALUES values."""
     a, step, b = map(float, text.split(":"))
+    if not all(map(math.isfinite, (a, step, b))):
+        raise argparse.ArgumentTypeError("bounds and step must be finite")
     if step <= 0:
         raise argparse.ArgumentTypeError("step must be positive")
     values = []
     v = a
     while v <= b + 1e-12:
+        # Also stops a step too small to move v, which would loop forever.
+        if len(values) == MAX_GRID_VALUES:
+            raise argparse.ArgumentTypeError(f"more than {MAX_GRID_VALUES} values")
         values.append(round(v, 12))
         v += step
     if not values:
@@ -127,13 +135,10 @@ def cmd_synth(args):
     lr_seed, sp_seed = ss.spawn(2)
     l0 = gen_low_tubal_rank(args.n1, args.n2, args.n3, args.rank, lr_seed)
     if args.sparsity_count is not None:
-        e0 = gen_sparse_bernoulli(
-            args.n1, args.n2, args.n3, args.sparsity_count, "count", sp_seed
-        )
+        value, mode = args.sparsity_count, "count"
     else:
-        e0 = gen_sparse_bernoulli(
-            args.n1, args.n2, args.n3, args.sparsity_rho, "rho", sp_seed
-        )
+        value, mode = args.sparsity_rho, "rho"
+    e0 = gen_sparse_bernoulli(args.n1, args.n2, args.n3, value, mode, sp_seed)
     x = l0 + e0
     lam, sol = _solve(x, args)
     # Recovery-table columns: instance parameters plus recovered rank,

@@ -9,14 +9,15 @@ The spectrum of a real tensor is conjugate symmetric, so Fourier slices
 spectrum, an (h, n1, n2) stack with h = n3 // 2 + 1, through the kernel below:
 ``half_spectrum`` and ``from_half_spectrum`` are the real FFT and its inverse,
 whose output is real by construction. Slice 0, and slice n3 // 2 when n3 is
-even, are their own conjugates and therefore real; ``half_matmul`` and the
-per-slice SVD keep them in real arithmetic, so for n3 = 1 every path reduces
-to the matrix computation bit for bit.
+even, are their own conjugates and therefore real. ``half_matmul`` and
+``half_svd``, the per-slice SVD behind every t-SVD, norm and prox, keep them
+in real arithmetic, so for n3 = 1 every path reduces to the matrix
+computation bit for bit.
 """
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import NumericalFailure, ShapeMismatch
 
 
 def as_tensor3(a):
@@ -67,6 +68,34 @@ def half_matmul(a, b, n3):
     for i in real_slices(n3):
         out[i] = np.ascontiguousarray(a[i].real) @ np.ascontiguousarray(b[i].real)
     return out
+
+
+def half_svd(stack, n3, full_matrices=False, compute_uv=True):
+    """SVD of every half-spectrum slice: (u, s, vh), or s alone when not
+    compute_uv; s has shape (h, min(n1, n2)), rows nonincreasing. The real
+    slices are decomposed in real arithmetic in both modes."""
+    h, n1, n2 = stack.shape
+    k = min(n1, n2)
+    s = np.empty((h, k))
+    if compute_uv:
+        u = np.empty((h, n1, n1 if full_matrices else k), dtype=np.complex128)
+        vh = np.empty((h, n2 if full_matrices else k, n2), dtype=np.complex128)
+    real = real_slices(n3)
+    cx = complex_slices(n3)
+    try:
+        for idx, part in ((real, stack[real].real), (cx, stack[cx])):
+            if compute_uv:
+                u[idx], s[idx], vh[idx] = np.linalg.svd(part, full_matrices=full_matrices)
+            else:
+                s[idx] = np.linalg.svd(part, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"per-slice SVD did not converge: {exc}") from exc
+    return (u, s, vh) if compute_uv else s
+
+
+def from_half_svd(u, s, vh, n3):
+    """The real tensor whose half-spectrum slices are u @ diag(s) @ vh."""
+    return from_half_spectrum(half_matmul(u * s[:, None, :], vh, n3), n3)
 
 
 def inner(a, b):

@@ -4,7 +4,7 @@ The factorization decomposes the real-FFT half spectrum, Fourier slices
 0..n3 // 2, and inverts each factor with the inverse real FFT, which implies
 the conjugate slices. Decomposing all n3 slices independently would break
 realness, because the matrix SVD is not unique; here the factors are real by
-construction. The self-conjugate slices are decomposed in real arithmetic.
+construction.
 """
 
 from dataclasses import dataclass
@@ -13,52 +13,15 @@ import numpy as np
 
 from .core import (
     as_tensor3,
-    complex_slices,
     from_half_spectrum,
-    half_matmul,
+    from_half_svd,
     half_spectrum,
+    half_svd,
     half_weights,
-    real_slices,
 )
-from .errors import NumericalFailure, RankOutOfRange
+from .errors import RankOutOfRange
 
 DEFAULT_RANK_TOL = 1e-10
-
-
-def _svd_half(half, n3, full_matrices):
-    """SVD each half-spectrum slice; the real slices take the real path so
-    their factors stay exactly real."""
-    h, n1, n2 = half.shape
-    k = min(n1, n2)
-    ku = n1 if full_matrices else k
-    kv = n2 if full_matrices else k
-    u = np.empty((h, n1, ku), dtype=np.complex128)
-    s = np.empty((h, k))
-    vh = np.empty((h, kv, n2), dtype=np.complex128)
-
-    real = real_slices(n3)
-    cx = complex_slices(n3)
-    try:
-        u[real], s[real], vh[real] = np.linalg.svd(half[real].real, full_matrices=full_matrices)
-        u[cx], s[cx], vh[cx] = np.linalg.svd(half[cx], full_matrices=full_matrices)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"per-slice SVD did not converge: {exc}") from exc
-    return u, s, vh
-
-
-def _half_singvals(a):
-    """Per-slice singular values of the retained Fourier slices.
-
-    Returns (s, weights) where s has shape (h, min(n1, n2)) with rows sorted
-    descending, and weights are the slice multiplicities summing to n3.
-    """
-    a = as_tensor3(a)
-    half = half_spectrum(a)
-    try:
-        s = np.linalg.svd(half, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"per-slice SVD did not converge: {exc}") from exc
-    return s, half_weights(a.shape[2])
 
 
 @dataclass(frozen=True)
@@ -71,27 +34,29 @@ class TSvdFactors:
     kind: str  # "full" or "skinny"
 
 
-def _embed_fdiag(s, n1, n2):
-    """(h, k) singular values -> (h, n1, n2) f-diagonal complex slices."""
+def _factors(u, s, vh, n3, kind):
+    """TSvdFactors from half-spectrum SVD factors; s becomes the f-diagonal middle factor."""
     h, k = s.shape
-    out = np.zeros((h, n1, n2), dtype=np.complex128)
-    out[:, np.arange(k), np.arange(k)] = s
-    return out
+    sdiag = np.zeros((h, u.shape[2], vh.shape[1]), dtype=np.complex128)
+    sdiag[:, np.arange(k), np.arange(k)] = s
+    return TSvdFactors(
+        u=from_half_spectrum(u, n3),
+        s=from_half_spectrum(sdiag, n3),
+        v=from_half_spectrum(np.conj(np.swapaxes(vh, 1, 2)), n3),
+        kind=kind,
+    )
 
 
 def tsvd(a):
     """Full t-SVD: a = u * s * v^T with real orthogonal u, v and f-diagonal s."""
     a = as_tensor3(a)
-    n1, n2, n3 = a.shape
-    ubar, sbar, vhbar = _svd_half(half_spectrum(a), n3, full_matrices=True)
-    u = from_half_spectrum(ubar, n3)
-    s = from_half_spectrum(_embed_fdiag(sbar, n1, n2), n3)
-    v = from_half_spectrum(np.conj(np.swapaxes(vhbar, 1, 2)), n3)
-    return TSvdFactors(u=u, s=s, v=v, kind="full")
+    n3 = a.shape[2]
+    u, s, vh = half_svd(half_spectrum(a), n3, full_matrices=True)
+    return _factors(u, s, vh, n3, "full")
 
 
-def _avg_singvals(sbar, weights, n3):
-    return (weights @ sbar) / n3
+def _avg_singvals(sbar, n3):
+    return (half_weights(n3) @ sbar) / n3
 
 
 def _rank_from_avg(avg, rank_tol):
@@ -102,43 +67,40 @@ def _rank_from_avg(avg, rank_tol):
 
 def skinny_tsvd(a, rank_tol=DEFAULT_RANK_TOL):
     """Rank-truncated t-SVD with u: (n1, r, n3), s: (r, r, n3), v: (n2, r, n3)."""
-    if rank_tol <= 0:
+    if not rank_tol > 0:
         raise ValueError(f"rank_tol must be positive, got {rank_tol}")
     a = as_tensor3(a)
     n3 = a.shape[2]
-    ubar, sbar, vhbar = _svd_half(half_spectrum(a), n3, full_matrices=False)
-    r = _rank_from_avg(_avg_singvals(sbar, half_weights(n3), n3), rank_tol)
-    u = from_half_spectrum(ubar[:, :, :r], n3)
-    s = from_half_spectrum(_embed_fdiag(sbar[:, :r], r, r), n3)
-    v = from_half_spectrum(np.conj(np.swapaxes(vhbar[:, :r, :], 1, 2)), n3)
-    return TSvdFactors(u=u, s=s, v=v, kind="skinny")
+    u, s, vh = half_svd(half_spectrum(a), n3)
+    r = _rank_from_avg(_avg_singvals(s, n3), rank_tol)
+    return _factors(u[:, :, :r], s[:, :r], vh[:, :r, :], n3, "skinny")
 
 
 def singular_values(a):
     """Nonincreasing singular values: the diagonal of s slice 0, equal to the
     average of the per-slice Fourier singular values."""
-    sbar, weights = _half_singvals(a)
-    return _avg_singvals(sbar, weights, as_tensor3(a).shape[2])
+    a = as_tensor3(a)
+    n3 = a.shape[2]
+    return _avg_singvals(half_svd(half_spectrum(a), n3, compute_uv=False), n3)
 
 
 def tubal_rank(a, rank_tol=DEFAULT_RANK_TOL):
     """Number of singular values above rank_tol relative to the largest."""
-    if rank_tol <= 0:
+    if not rank_tol > 0:
         raise ValueError(f"rank_tol must be positive, got {rank_tol}")
     return _rank_from_avg(singular_values(a), rank_tol)
 
 
 def average_rank(a, rank_tol=DEFAULT_RANK_TOL):
     """Mean matrix rank of the Fourier slices, a lower bound on tubal rank."""
-    if rank_tol <= 0:
+    if not rank_tol > 0:
         raise ValueError(f"rank_tol must be positive, got {rank_tol}")
     a = as_tensor3(a)
-    sbar, weights = _half_singvals(a)
+    n3 = a.shape[2]
+    sbar = half_svd(half_spectrum(a), n3, compute_uv=False)
     smax = float(sbar.max(initial=0.0))
-    if smax <= 0.0:
-        return 0.0
     counts = (sbar > rank_tol * smax).sum(axis=1)
-    return float(weights @ counts) / a.shape[2]
+    return float(half_weights(n3) @ counts) / n3
 
 
 def best_rank_k(a, k):
@@ -148,8 +110,5 @@ def best_rank_k(a, k):
     n1, n2, n3 = a.shape
     if not 0 <= k <= min(n1, n2):
         raise RankOutOfRange(f"rank {k} outside [0, {min(n1, n2)}]")
-    if k == 0:
-        return np.zeros_like(a)
-    ubar, sbar, vhbar = _svd_half(half_spectrum(a), n3, full_matrices=False)
-    trunc = half_matmul(ubar[:, :, :k] * sbar[:, None, :k], vhbar[:, :k, :], n3)
-    return from_half_spectrum(trunc, n3)
+    u, s, vh = half_svd(half_spectrum(a), n3)
+    return from_half_svd(u[:, :, :k], s[:, :k], vh[:, :k, :], n3)

@@ -12,22 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ctranspose, tprod
-from .core import as_tensor3, fro_norm, linf_norm
-from .decomposition import (
-    DEFAULT_RANK_TOL,
-    _half_singvals,
-    singular_values,
-    skinny_tsvd,
-)
+from .core import as_tensor3, fro_norm, half_spectrum, half_svd, linf_norm
+from .decomposition import DEFAULT_RANK_TOL, singular_values, skinny_tsvd
 from .errors import ShapeMismatch, ZeroTensor
 
 
 def spectral_norm(a):
     """Largest matrix spectral norm across Fourier slices."""
-    sbar, _ = _half_singvals(a)
-    if sbar.size == 0:
-        return 0.0
-    return float(sbar.max())
+    a = as_tensor3(a)
+    sbar = half_svd(half_spectrum(a), a.shape[2], compute_uv=False)
+    return float(sbar.max(initial=0.0))
 
 
 def tnn(a):

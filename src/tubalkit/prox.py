@@ -8,13 +8,12 @@ norm proximal problem.
 
 import numpy as np
 
-from .core import as_tensor3, from_half_spectrum, half_matmul, half_spectrum
-from .decomposition import _svd_half
+from .core import as_tensor3, from_half_svd, half_spectrum, half_svd
 
 
 def soft_threshold(x, kappa):
     """Elementwise sign(x) * max(|x| - kappa, 0) of a real array of any rank."""
-    if kappa < 0:
+    if not kappa >= 0:
         raise ValueError(f"threshold must be nonnegative, got {kappa}")
     if np.iscomplexobj(x):
         raise TypeError("expected a real array, got complex input")
@@ -29,10 +28,9 @@ def tsvt(y, tau):
     singular values of each half-spectrum slice and inverting the real FFT.
     For n3 = 1 this is matrix singular value thresholding, bit for bit.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     y = as_tensor3(y)
     n3 = y.shape[2]
-    u, s, vh = _svd_half(half_spectrum(y), n3, full_matrices=False)
-    shrunk = np.maximum(s - tau, 0.0)
-    return from_half_spectrum(half_matmul(u * shrunk[:, None, :], vh, n3), n3)
+    u, s, vh = half_svd(half_spectrum(y), n3)
+    return from_half_svd(u, np.maximum(s - tau, 0.0), vh, n3)

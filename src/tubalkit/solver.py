@@ -43,15 +43,15 @@ class SolverConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        if self.lam is not None and self.lam <= 0:
+        if self.lam is not None and not self.lam > 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.rho <= 1:
+        if not self.rho > 1:
             raise ValueError(f"rho must exceed 1, got {self.rho}")
         if not 0 < self.mu0 < self.mu_max:
             raise ValueError(f"need 0 < mu0 < mu_max, got {self.mu0}, {self.mu_max}")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
 
 

@@ -133,11 +133,17 @@ def test_phase_empty_grid_is_usage_error(tmp_path):
     assert exc.value.code == 64
 
 
-def test_phase_bad_grid_range_is_usage_error(tmp_path):
+@pytest.mark.parametrize("r_grid", [
+    pytest.param("nonsense", id="nonsense"),
+    pytest.param("0:1e307:inf", id="infinite-bound"),
+    pytest.param("0:1e-300:1", id="too-many-values"),
+    pytest.param("0:nan:1", id="nan-step"),
+])
+def test_phase_bad_grid_range_is_usage_error(tmp_path, r_grid):
     with pytest.raises(SystemExit) as exc:
         run_cli(
             "phase", "--n", "20", "--n3", "5",
-            "--r-grid", "nonsense", "--rho-grid", "0.05:0.1:0.25",
+            "--r-grid", r_grid, "--rho-grid", "0.05:0.1:0.25",
             "--trials", "1", "--seed", "3", "--out", str(tmp_path / "g.csv"),
         )
     assert exc.value.code == 64
@@ -260,6 +266,8 @@ def image_corrupt_out_of_range(tmp_path, monkeypatch):
     pytest.param(synth("--max-iters", "0"), 64, id="max-iters-zero"),
     pytest.param(synth("--eps", "-1"), 64, id="negative-eps"),
     pytest.param(synth("--lambda", "0"), 64, id="zero-lambda"),
+    pytest.param(synth("--lambda", "nan"), 64, id="nan-lambda"),
+    pytest.param(synth("--eps", "nan"), 64, id="nan-eps"),
     pytest.param(phase_trials_zero, 64, id="phase-trials-zero"),
     pytest.param(image_corrupt_out_of_range, 64, id="corrupt-above-one"),
     pytest.param(report_in_missing_dir, 1, id="report-in-missing-dir"),

@@ -1,4 +1,8 @@
-"""Tensor primitives: mode-3 DFT, dense reference operators, inner products."""
+"""Tensor primitives: mode-3 DFT, dense reference operators, inner products,
+and the package layering around the half-spectrum kernel."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,3 +183,51 @@ def test_l1_linf():
     a[0, :, 0] = [1.0, -2.0, 0.0]
     assert l1_norm(a) == 3.0
     assert linf_norm(a) == 2.0
+
+
+# ── layering ─────────────────────────────────────────────────────────────────
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tubalkit"
+
+
+def package_trees():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert any(p.name == "core.py" for p in paths)
+    return [(p.name, ast.parse(p.read_text())) for p in paths]
+
+
+def dotted(node):
+    """'np.linalg.svd' for a chain of attribute accesses on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def test_only_core_calls_the_fft_and_the_svd():
+    # The real-slice decision lives in core's half_matmul and half_svd; a
+    # module that called numpy's FFT or SVD itself could bypass it.
+    def reaches_kernel(used):
+        used = used.replace("numpy.", "np.", 1)
+        return any(used == k or used.startswith(k + ".") for k in ("np.fft", "np.linalg.svd"))
+
+    for name, tree in package_trees():
+        if name == "core.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                assert not reaches_kernel(dotted(node) or ""), (name, dotted(node))
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    assert not reaches_kernel(f"{node.module}.{alias.name}"), (name, alias.name)
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    for name, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("tubalkit")
+            ):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, (name, node.module, private)

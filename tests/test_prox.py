@@ -41,8 +41,9 @@ def test_soft_threshold_sampled_optimality():
 
 
 def test_soft_threshold_rejects_negative():
-    with pytest.raises(ValueError):
-        soft_threshold(np.zeros((1, 1, 1)), -0.1)
+    for kappa in (-0.1, np.nan):
+        with pytest.raises(ValueError):
+            soft_threshold(np.zeros((1, 1, 1)), kappa)
 
 
 # ── tsvt ─────────────────────────────────────────────────────────────────────
@@ -118,5 +119,6 @@ def test_tsvt_zero_tau_is_identity_for_odd_and_even_n3():
 
 
 def test_tsvt_rejects_negative_tau():
-    with pytest.raises(ValueError):
-        tsvt(np.zeros((2, 2, 2)), -1.0)
+    for tau in (-1.0, np.nan):
+        with pytest.raises(ValueError):
+            tsvt(np.zeros((2, 2, 2)), tau)

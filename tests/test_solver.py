@@ -61,6 +61,10 @@ def test_config_validation():
         SolverConfig(eps=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
+    # NaN fails every comparison, so it must not slip past a `<=` check.
+    for field in ("lam", "rho", "eps"):
+        with pytest.raises(ValueError):
+            SolverConfig(**{field: float("nan")})
 
 
 def test_solve_rejects_nonfinite():
