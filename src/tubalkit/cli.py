@@ -99,6 +99,8 @@ def _emit_report(args, x, lam, sol, fields):
         "iters": sol.iters,
         "converged": sol.converged,
         "residual": sol.final_residual,
+        "svd_certified": sol.svd_certified,
+        "svd_fallbacks": sol.svd_fallbacks,
         **fields,
     })
     if args.report:

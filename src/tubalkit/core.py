@@ -12,7 +12,8 @@ whose output is real by construction. Slice 0, and slice n3 // 2 when n3 is
 even, are their own conjugates and therefore real. ``half_matmul`` and
 ``half_svd``, the per-slice SVD behind every t-SVD, norm and prox, keep them
 in real arithmetic, so for n3 = 1 every path reduces to the matrix
-computation bit for bit.
+computation bit for bit. ``partial_half_svd``, the solver's certified partial
+SVD, does too, and hands every slice it cannot certify to ``half_svd``.
 """
 
 import numpy as np
@@ -70,27 +71,129 @@ def half_matmul(a, b, n3):
     return out
 
 
-def half_svd(stack, n3, full_matrices=False, compute_uv=True):
-    """SVD of every half-spectrum slice: (u, s, vh), or s alone when not
-    compute_uv; s has shape (h, min(n1, n2)), rows nonincreasing. The real
-    slices are decomposed in real arithmetic in both modes."""
-    h, n1, n2 = stack.shape
+def _batches(stack, n3, which=None):
+    """(positions, slices) of the half-spectrum slices `which` (every slice by
+    default) in two batches: the real slices as real arrays, then the complex
+    ones. Positions index into `which`; empty batches are left out."""
+    if which is None:  # a basic slice: the complex batch is a view, not a copy
+        real, cx = real_slices(n3), complex_slices(n3)
+        parts = ((real, stack[real].real), (cx, stack[cx]))
+    else:
+        which = np.asarray(which)
+        is_real = np.isin(which, real_slices(n3))
+        real, cx = np.flatnonzero(is_real), np.flatnonzero(~is_real)
+        parts = ((real, stack[which[real]].real), (cx, stack[which[cx]]))
+    return [(pos, part) for pos, part in parts if len(part)]
+
+
+def half_svd(stack, n3, full_matrices=False, compute_uv=True, which=None):
+    """SVD of the half-spectrum slices `which` (every slice by default):
+    (u, s, vh), or s alone when not compute_uv; s has shape
+    (len(which), min(n1, n2)), rows nonincreasing. The real slices are
+    decomposed in real arithmetic in both modes."""
+    h = len(stack) if which is None else len(which)
+    n1, n2 = stack.shape[1:]
     k = min(n1, n2)
     s = np.empty((h, k))
     if compute_uv:
         u = np.empty((h, n1, n1 if full_matrices else k), dtype=np.complex128)
         vh = np.empty((h, n2 if full_matrices else k, n2), dtype=np.complex128)
-    real = real_slices(n3)
-    cx = complex_slices(n3)
     try:
-        for idx, part in ((real, stack[real].real), (cx, stack[cx])):
+        for pos, part in _batches(stack, n3, which):
             if compute_uv:
-                u[idx], s[idx], vh[idx] = np.linalg.svd(part, full_matrices=full_matrices)
+                u[pos], s[pos], vh[pos] = np.linalg.svd(part, full_matrices=full_matrices)
             else:
-                s[idx] = np.linalg.svd(part, compute_uv=False)
+                s[pos] = np.linalg.svd(part, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"per-slice SVD did not converge: {exc}") from exc
     return (u, s, vh) if compute_uv else s
+
+
+# The solver's partial SVD, measured on the 100x100x100 criterion-1 solve.
+# A residual of 1e-12 of the slice norm kept every thresholding step within
+# 1e-12 of the exact one and the 41 iterations unchanged. A warm start meets
+# it in ~7 steps, each gaining (0.47 / 1.6)^2 on the residual, the ratio of the
+# first dropped to the last kept singular value; with 16 steps 2074 of 2091
+# slice SVDs were certified, with 12 2031, with 4 637.
+PARTIAL_SVD_TOL = 1e-12
+PARTIAL_SVD_STEPS = 16
+
+
+def _ct(a):
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def _certified(a, uk, tau):
+    """Whether, for each matrix of the batch a, the spectral norm of
+    w = (I - uk uk^H) a is below tau, by its upper bound ||(w^H w)^4||_F^(1/8).
+    It bounds the norm of what the triplets leave out, w (I - vk vk^H)."""
+    w = a - uk @ (_ct(uk) @ a)
+    g = _ct(w) @ w if w.shape[1] >= w.shape[2] else w @ _ct(w)
+    g /= tau * tau
+    for _ in range(2):
+        g = g @ g
+    return np.linalg.norm(g, axis=(1, 2)) < 1.0
+
+
+def _subspace_svd(a, v, tau):
+    """Top singular triplets of each matrix of the batch a by subspace
+    iteration from the columns v; returns (u, s, vh, certified)."""
+    scale = np.linalg.norm(a, axis=(1, 2))
+    y = a @ v
+    for _ in range(PARTIAL_SVD_STEPS):
+        q = np.linalg.qr(y)[0]
+        v, r = np.linalg.qr(_ct(_ct(q) @ a))
+        # a^H q = v r = (v ur) s wh, so a ~ q q^H a = (q wh^H) s (v ur)^H.
+        ur, s, wh = np.linalg.svd(r)
+        u, v = q @ _ct(wh), v @ ur
+        y = a @ v
+        kept = (s > tau)[:, None, :]
+        fits = np.linalg.norm((y - u * s[:, None, :]) * kept, axis=(1, 2)) <= PARTIAL_SVD_TOL * scale
+        if fits.all():
+            break
+    return u, s, _ct(v), fits & _certified(a, u * kept, tau)
+
+
+def partial_half_svd(stack, n3, tau, basis):
+    """Leading singular triplets of every half-spectrum slice, certified for
+    thresholding at tau, from subspace iteration on the (h, n2, l) start
+    `basis`; l must not exceed min(n1, n2). Returns (u, s, vh, certified).
+
+    A slice is certified when its triplets with s > tau leave a residual
+    ||a v - u s||_F at most PARTIAL_SVD_TOL * ||a||_F (u^H a = s v^H holds by
+    construction) and an upper bound on the spectral norm of what they leave
+    out is below tau. Thresholding the certified triplets at tau is then
+    within that residual of the exact singular value thresholding of the
+    slice, because the prox is nonexpansive. The real slices stay in real
+    arithmetic. Every other slice, NaN included, is decomposed in one batch by
+    half_svd, and the triplets are padded with zeros to the widest kept rank.
+    With no slice certified the result is half_svd(stack, n3), bit for bit.
+    """
+    h, n1, n2 = stack.shape
+    l = basis.shape[2]
+    u = np.empty((h, n1, l), dtype=np.complex128)
+    s = np.empty((h, l))
+    vh = np.empty((h, l, n2), dtype=np.complex128)
+    certified = np.zeros(h, dtype=bool)
+    for pos, part in _batches(stack, n3):
+        start = basis[pos] if np.iscomplexobj(part) else basis[pos].real
+        # A non-finite or unconverged batch is left uncertified for half_svd.
+        with np.errstate(all="ignore"):
+            try:
+                u[pos], s[pos], vh[pos], certified[pos] = _subspace_svd(part, start, tau)
+            except np.linalg.LinAlgError:
+                pass
+    failed = np.flatnonzero(~certified)
+    if failed.size == h:
+        return (*half_svd(stack, n3), certified)
+    if failed.size:
+        fu, fs, fvh = half_svd(stack, n3, which=failed)
+        w = max(l, int(np.count_nonzero(fs > tau, axis=1).max()))
+        u = np.pad(u, ((0, 0), (0, 0), (0, w - l)))
+        s = np.pad(s, ((0, 0), (0, w - l)))
+        vh = np.pad(vh, ((0, 0), (0, w - l), (0, 0)))
+        u[failed], s[failed], vh[failed] = fu[:, :, :w], fs[:, :w], fvh[:, :w]
+    return u, s, vh, certified
 
 
 def from_half_svd(u, s, vh, n3):

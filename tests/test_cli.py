@@ -39,6 +39,19 @@ def test_decompose_recovers_synthetic_parts(tmp_path):
     assert fro_norm(e_hat - e0) / fro_norm(e0) <= 1e-8
 
 
+def test_decompose_reports_partial_svd_counts(tmp_path):
+    # Slices 80 wide keep the solver's partial SVD open for a rank-1 part.
+    l0 = gen_low_tubal_rank(80, 80, 4, 1, seed=3)
+    e0 = gen_sparse_bernoulli(80, 80, 4, 0.05, "rho", seed=4)
+    xpath = tmp_path / "x.t3f"
+    io.write_tensor(xpath, l0 + e0)
+    report = tmp_path / "report.json"
+    assert run_cli("decompose", "--input", str(xpath), "--report", str(report)) == 0
+    data = json.loads(report.read_text())
+    assert data["svd_certified"] > 0 and data["svd_fallbacks"] >= 0
+    assert data["svd_certified"] + data["svd_fallbacks"] <= data["iters"] * (4 // 2 + 1)
+
+
 def test_decompose_zero_tensor(tmp_path):
     xpath = tmp_path / "zero.t3f"
     io.write_tensor(xpath, np.zeros((6, 5, 4)))
@@ -268,6 +281,7 @@ def image_corrupt_out_of_range(tmp_path, monkeypatch):
     pytest.param(synth("--lambda", "0"), 64, id="zero-lambda"),
     pytest.param(synth("--lambda", "nan"), 64, id="nan-lambda"),
     pytest.param(synth("--eps", "nan"), 64, id="nan-eps"),
+    pytest.param(synth("--eps", "inf"), 64, id="inf-eps"),
     pytest.param(phase_trials_zero, 64, id="phase-trials-zero"),
     pytest.param(image_corrupt_out_of_range, 64, id="corrupt-above-one"),
     pytest.param(report_in_missing_dir, 1, id="report-in-missing-dir"),

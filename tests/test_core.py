@@ -206,11 +206,15 @@ def dotted(node):
 
 
 def test_only_core_calls_the_fft_and_the_svd():
-    # The real-slice decision lives in core's half_matmul and half_svd; a
-    # module that called numpy's FFT or SVD itself could bypass it.
+    # The real-slice decision lives in core's half_matmul, half_svd and
+    # partial_half_svd; a module that called numpy's FFT or a matrix
+    # factorization itself could bypass it.
+    kernels = ("np.fft", *(f"np.linalg.{f}" for f in ("svd", "qr", "eigh", "eigvalsh", "eig",
+                                                         "eigvals", "cholesky", "svdvals")))
+
     def reaches_kernel(used):
         used = used.replace("numpy.", "np.", 1)
-        return any(used == k or used.startswith(k + ".") for k in ("np.fft", "np.linalg.svd"))
+        return any(used == k or used.startswith(k + ".") for k in kernels)
 
     for name, tree in package_trees():
         if name == "core.py":

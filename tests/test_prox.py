@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from tubalkit import solver
 from tubalkit.core import fro_norm, l1_norm
+from tubalkit.errors import NumericalFailure
 from tubalkit.norms import spectral_norm, tnn
-from tubalkit.prox import soft_threshold, tsvt
+from tubalkit.prox import OVERSAMPLE, PARTIAL_SVD_FRACTION, WarmStart, soft_threshold, tsvt
+from tubalkit.synth import gen_low_tubal_rank, gen_sparse_bernoulli
 
 
 def svt_objective(x, y, tau):
@@ -122,3 +125,76 @@ def test_tsvt_rejects_negative_tau():
     for tau in (-1.0, np.nan):
         with pytest.raises(ValueError):
             tsvt(np.zeros((2, 2, 2)), tau)
+
+
+# ── tsvt with a warm start (certified partial SVD) ──────────────────────────
+
+
+def assert_matches_exact(out, y, tau):
+    exact = tsvt(y, tau)
+    assert fro_norm(out - exact) <= 1e-10 * fro_norm(exact)
+
+
+# The narrowest slices that keep the partial path open up to a kept rank of 3.
+WIDE = PARTIAL_SVD_FRACTION * (3 + OVERSAMPLE)
+
+
+@pytest.mark.parametrize("n3", [1, 2, 5, 6])
+@pytest.mark.parametrize("shape", [(WIDE, WIDE), (WIDE + 32, WIDE), (WIDE, WIDE + 32)],
+                         ids=["square", "tall", "wide"])
+def test_warm_tsvt_matches_exact(shape, n3):
+    rng = np.random.default_rng(n3)
+    y = gen_low_tubal_rank(*shape, n3, 3, seed=n3) + 1e-2 * rng.normal(size=(*shape, n3))
+    # Ten more strong directions in Fourier slice 1 alone (slice 0 when
+    # n3 = 1), more than the basis holds: that slice must fail its
+    # certificate while the others pass.
+    bump = rng.normal(size=(shape[0], 10)) @ rng.normal(size=(10, shape[1])) / np.sqrt(np.prod(shape))
+    y += 30 * bump[:, :, None] * np.cos(2 * np.pi * np.arange(n3) / n3)
+    warm = WarmStart()
+    # Decreasing thresholds as in a solve; the first keeps nothing.
+    for tau in (2 * spectral_norm(y), 20.0, 8.0, 5.0, 1.0, 1.0, 0.5):
+        assert_matches_exact(tsvt(y, tau, warm), y, tau)
+    assert np.all(tsvt(y, 2 * spectral_norm(y), warm) == 0.0)
+    assert warm.certified > 0 and warm.fallbacks > 0
+
+
+@pytest.mark.parametrize("n3", [1, 4])
+def test_warm_tsvt_certificate_sees_values_beyond_the_basis(n3):
+    # Slice 1 (slice 0 when n3 = 1) has OVERSAMPLE well separated singular
+    # values, which the first call's OVERSAMPLE columns capture to full
+    # accuracy, and three more above tau that only the bound on the rest can
+    # reveal.
+    rng = np.random.default_rng(10)
+    sv = [100 - 8 * i for i in range(OVERSAMPLE)] + [10, 10, 10]
+    u = np.linalg.qr(rng.normal(size=(WIDE, len(sv))))[0]
+    v = np.linalg.qr(rng.normal(size=(WIDE, len(sv))))[0]
+    m = (u * sv) @ v.T
+    y = m[:, :, None] * np.cos(2 * np.pi * np.arange(n3) / n3) + 1e-3 * rng.normal(size=(WIDE, WIDE, n3))
+    warm = WarmStart()
+    assert_matches_exact(tsvt(y, 5.0, warm), y, 5.0)
+    assert warm.fallbacks == 1
+
+
+def test_warm_tsvt_matches_exact_on_solver_iterates(monkeypatch):
+    l0 = gen_low_tubal_rank(WIDE, WIDE, 10, 3, seed=3)
+    e0 = gen_sparse_bernoulli(WIDE, WIDE, 10, 0.05, "rho", seed=4)
+    calls = []
+
+    def checked(y, tau, warm):
+        out = tsvt(y, tau, warm)
+        assert_matches_exact(out, y, tau)
+        calls.append(tau)
+        return out
+
+    monkeypatch.setattr(solver, "tsvt", checked)
+    sol = solver.solve(l0 + e0)
+    assert sol.converged and len(calls) == sol.iters
+    assert sol.svd_certified > 0
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["exact", "warm"])
+def test_tsvt_nan_input_is_a_numerical_failure(warm):
+    y = np.random.default_rng(9).normal(size=(WIDE, WIDE, 4))
+    y[3, 4, 1] = np.nan
+    with pytest.raises(NumericalFailure):
+        tsvt(y, 1.0, WarmStart() if warm else None)

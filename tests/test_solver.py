@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tubalkit import core, prox, solver
 from tubalkit.core import fro_norm, linf_norm
 from tubalkit.decomposition import tubal_rank
 from tubalkit.solver import Solution, SolverConfig, default_lambda, solve
@@ -65,6 +66,9 @@ def test_config_validation():
     for field in ("lam", "rho", "eps"):
         with pytest.raises(ValueError):
             SolverConfig(**{field: float("nan")})
+    # An infinite eps would meet the stopping test at the first iteration.
+    with pytest.raises(ValueError):
+        SolverConfig(eps=float("inf"))
 
 
 def test_solve_rejects_nonfinite():
@@ -147,3 +151,50 @@ def test_single_slice_matches_matrix_rpca():
     low_ref, sparse_ref = matrix_rpca_admm(x, lam)
     assert fro_norm(sol.l_hat[:, :, 0] - low_ref) <= 1e-6 * fro_norm(low_ref)
     assert fro_norm(sol.e_hat[:, :, 0] - sparse_ref) <= 1e-6 * max(fro_norm(sparse_ref), 1.0)
+
+
+# ── certified partial SVD inside the solve ───────────────────────────────────
+
+
+def partial_svd_instance(seed=1):
+    # The narrowest slices that keep the partial path open up to a kept rank of 3.
+    n = prox.PARTIAL_SVD_FRACTION * (3 + prox.OVERSAMPLE)
+    l0 = gen_low_tubal_rank(n, n, 8, 3, seed=seed)
+    e0 = gen_sparse_bernoulli(n, n, 8, 0.05, "rho", seed=seed + 1)
+    return l0, l0 + e0
+
+
+def test_partial_svd_counts_are_reported():
+    l0, x = partial_svd_instance()
+    sol = solve(x)
+    assert sol.converged
+    assert fro_norm(sol.l_hat - l0) / fro_norm(l0) <= 1e-5
+    assert sol.svd_certified > 0
+    assert sol.svd_certified + sol.svd_fallbacks <= sol.iters * (8 // 2 + 1)
+
+
+def test_warm_solves_are_bit_identical():
+    _, x = partial_svd_instance(1)
+    _, other = partial_svd_instance(5)
+    first = solve(x)
+    again = solve(x)
+    solve(other)
+    after_other = solve(x)
+    for sol in (again, after_other):
+        assert sol.iters == first.iters
+        assert sol.l_hat.tobytes() == first.l_hat.tobytes()
+        assert sol.e_hat.tobytes() == first.e_hat.tobytes()
+        assert (sol.svd_certified, sol.svd_fallbacks) == (first.svd_certified, first.svd_fallbacks)
+
+
+def test_failed_certificates_reproduce_the_exact_path(monkeypatch):
+    _, x = partial_svd_instance()
+    with monkeypatch.context() as m:
+        m.setattr(solver, "tsvt", lambda y, tau, warm: prox.tsvt(y, tau))
+        exact = solve(x)
+    monkeypatch.setattr(core, "_certified", lambda a, uk, tau: np.zeros(len(a), dtype=bool))
+    sol = solve(x)
+    assert sol.svd_certified == 0 and sol.svd_fallbacks > 0
+    assert sol.iters == exact.iters
+    assert sol.l_hat.tobytes() == exact.l_hat.tobytes()
+    assert sol.e_hat.tobytes() == exact.e_hat.tobytes()
