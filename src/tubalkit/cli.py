@@ -23,7 +23,7 @@ from .core import l1_norm, fro_norm
 from .decomposition import tubal_rank
 from .errors import DataError, NumericalFailure
 from .norms import tnn
-from .solver import SolverConfig, default_lambda, solve
+from .solver import SolverConfig, solve
 from .synth import gen_low_tubal_rank, gen_sparse_bernoulli, phase_grid
 
 EXIT_OK = 0
@@ -84,18 +84,17 @@ def grid(text):
 
 
 def _solve(x, args):
-    """Solve x under the command's flags; returns (lambda used, solution)."""
-    lam = args.lam if args.lam is not None else default_lambda(*x.shape)
-    return lam, solve(x, SolverConfig(lam=lam, eps=args.eps, max_iters=args.max_iters))
+    """Solve x under the command's flags."""
+    return solve(x, SolverConfig(lam=args.lam, eps=args.eps, max_iters=args.max_iters))
 
 
-def _emit_report(args, x, lam, sol, fields):
+def _emit_report(args, x, sol, fields):
     """Write the report, the solve fields every command shares plus its own,
     to --report or stdout; return the exit code the solve earned."""
     n1, n2, n3 = x.shape
     text = io.render_report({
         "n1": n1, "n2": n2, "n3": n3,
-        "lambda": lam,
+        "lambda": sol.lam,
         "iters": sol.iters,
         "converged": sol.converged,
         "residual": sol.final_residual,
@@ -120,12 +119,12 @@ def _rel_err(estimate, truth):
 
 def cmd_decompose(args):
     x = io.read_tensor(args.input)
-    lam, sol = _solve(x, args)
+    sol = _solve(x, args)
     if args.out_l:
         io.write_tensor(args.out_l, sol.l_hat)
     if args.out_e:
         io.write_tensor(args.out_e, sol.e_hat)
-    return _emit_report(args, x, lam, sol, {
+    return _emit_report(args, x, sol, {
         "tubal_rank": tubal_rank(sol.l_hat, SOLUTION_RANK_TOL),
         "tnn": tnn(sol.l_hat),
         "l1": l1_norm(sol.e_hat),
@@ -142,7 +141,7 @@ def cmd_synth(args):
         value, mode = args.sparsity_rho, "rho"
     e0 = gen_sparse_bernoulli(args.n1, args.n2, args.n3, value, mode, sp_seed)
     x = l0 + e0
-    lam, sol = _solve(x, args)
+    sol = _solve(x, args)
     # Recovery-table columns: instance parameters plus recovered rank,
     # support size, and relative errors.
     table = {
@@ -154,7 +153,7 @@ def cmd_synth(args):
         "rel_err_l": _rel_err(sol.l_hat, l0),
         "rel_err_e": _rel_err(sol.e_hat, e0),
     }
-    code = _emit_report(args, x, lam, sol, {
+    code = _emit_report(args, x, sol, {
         **table,
         "tnn": tnn(sol.l_hat),
         "l1": l1_norm(sol.e_hat),
@@ -177,14 +176,14 @@ def cmd_image(args):
     with open(args.input, "rb") as fh:
         original = io.image_to_tensor(fh.read())
     corrupted, _mask = io.corrupt_pixels(original, args.corrupt, args.seed)
-    lam, sol = _solve(corrupted, args)
+    sol = _solve(corrupted, args)
     recovered_bytes = io.tensor_to_image(sol.l_hat)
     with open(args.out, "wb") as fh:
         fh.write(recovered_bytes)
     # PSNR of the recovered image is measured on the written (quantized)
     # pixels, so a clean roundtrip reports the exact-match sentinel.
     recovered = io.image_to_tensor(recovered_bytes)
-    return _emit_report(args, corrupted, lam, sol, {
+    return _emit_report(args, corrupted, sol, {
         "psnr_corrupted": io.psnr(original, corrupted),
         "psnr_recovered": io.psnr(original, recovered),
     })

@@ -10,10 +10,12 @@ spectrum, an (h, n1, n2) stack with h = n3 // 2 + 1, through the kernel below:
 ``half_spectrum`` and ``from_half_spectrum`` are the real FFT and its inverse,
 whose output is real by construction. Slice 0, and slice n3 // 2 when n3 is
 even, are their own conjugates and therefore real. ``half_matmul`` and
-``half_svd``, the per-slice SVD behind every t-SVD, norm and prox, keep them
-in real arithmetic, so for n3 = 1 every path reduces to the matrix
-computation bit for bit. ``partial_half_svd``, the solver's certified partial
-SVD, does too, and hands every slice it cannot certify to ``half_svd``.
+``half_svd``, the per-slice SVD behind every t-SVD and norm, keep them in
+real arithmetic, so for n3 = 1 every path reduces to the matrix computation
+bit for bit. ``half_svt``, the singular value thresholding behind every
+``tsvt``, does too; given a start basis it tries a certified partial SVD
+first, and thresholds every slice it cannot certify exactly as it does
+without one.
 """
 
 import numpy as np
@@ -71,41 +73,36 @@ def half_matmul(a, b, n3):
     return out
 
 
-def _batches(stack, n3, which=None):
-    """(positions, slices) of the half-spectrum slices `which` (every slice by
-    default) in two batches: the real slices as real arrays, then the complex
-    ones. Positions index into `which`; empty batches are left out."""
-    if which is None:  # a basic slice: the complex batch is a view, not a copy
-        real, cx = real_slices(n3), complex_slices(n3)
-        parts = ((real, stack[real].real), (cx, stack[cx]))
-    else:
-        which = np.asarray(which)
-        is_real = np.isin(which, real_slices(n3))
-        real, cx = np.flatnonzero(is_real), np.flatnonzero(~is_real)
-        parts = ((real, stack[which[real]].real), (cx, stack[which[cx]]))
-    return [(pos, part) for pos, part in parts if len(part)]
+def _batches(stack, n3):
+    """(positions, slices) of the half spectrum in two batches: the real slices
+    as real arrays, then the complex ones, a view. Empty batches are left out."""
+    real, cx = real_slices(n3), complex_slices(n3)
+    return [(pos, part) for pos, part in ((real, stack[real].real), (cx, stack[cx])) if len(part)]
 
 
-def half_svd(stack, n3, full_matrices=False, compute_uv=True, which=None):
-    """SVD of the half-spectrum slices `which` (every slice by default):
-    (u, s, vh), or s alone when not compute_uv; s has shape
-    (len(which), min(n1, n2)), rows nonincreasing. The real slices are
-    decomposed in real arithmetic in both modes."""
-    h = len(stack) if which is None else len(which)
-    n1, n2 = stack.shape[1:]
+def _svd(a, **kwargs):
+    """np.linalg.svd of a batch of matrices; non-convergence is a NumericalFailure."""
+    try:
+        return np.linalg.svd(a, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"per-slice SVD did not converge: {exc}") from exc
+
+
+def half_svd(stack, n3, full_matrices=False, compute_uv=True):
+    """SVD of every half-spectrum slice: (u, s, vh), or s alone when not
+    compute_uv; s has shape (h, min(n1, n2)), rows nonincreasing. The real
+    slices are decomposed in real arithmetic in both modes."""
+    h, n1, n2 = stack.shape
     k = min(n1, n2)
     s = np.empty((h, k))
     if compute_uv:
         u = np.empty((h, n1, n1 if full_matrices else k), dtype=np.complex128)
         vh = np.empty((h, n2 if full_matrices else k, n2), dtype=np.complex128)
-    try:
-        for pos, part in _batches(stack, n3, which):
-            if compute_uv:
-                u[pos], s[pos], vh[pos] = np.linalg.svd(part, full_matrices=full_matrices)
-            else:
-                s[pos] = np.linalg.svd(part, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"per-slice SVD did not converge: {exc}") from exc
+    for pos, part in _batches(stack, n3):
+        if compute_uv:
+            u[pos], s[pos], vh[pos] = _svd(part, full_matrices=full_matrices)
+        else:
+            s[pos] = _svd(part, compute_uv=False)
     return (u, s, vh) if compute_uv else s
 
 
@@ -154,46 +151,52 @@ def _subspace_svd(a, v, tau):
     return u, s, _ct(v), fits & _certified(a, u * kept, tau)
 
 
-def partial_half_svd(stack, n3, tau, basis):
-    """Leading singular triplets of every half-spectrum slice, certified for
-    thresholding at tau, from subspace iteration on the (h, n2, l) start
-    `basis`; l must not exceed min(n1, n2). Returns (u, s, vh, certified).
+def half_svt(stack, n3, tau, basis=None):
+    """Singular value thresholding at tau of every half-spectrum slice:
+    u max(s - tau, 0) vh. Returns (out, kept, v, certified): the thresholded
+    (h, n1, n2) stack and, per slice, the count of singular values above tau,
+    the (n2, l) leading right singular vectors and whether the partial SVD
+    was certified.
 
-    A slice is certified when its triplets with s > tau leave a residual
-    ||a v - u s||_F at most PARTIAL_SVD_TOL * ||a||_F (u^H a = s v^H holds by
-    construction) and an upper bound on the spectral norm of what they leave
-    out is below tau. Thresholding the certified triplets at tau is then
-    within that residual of the exact singular value thresholding of the
-    slice, because the prox is nonexpansive. The real slices stay in real
-    arithmetic. Every other slice, NaN included, is decomposed in one batch by
-    half_svd, and the triplets are padded with zeros to the widest kept rank.
-    With no slice certified the result is half_svd(stack, n3), bit for bit.
+    Without a basis l = 0 and every slice takes the full SVD. With an
+    (h, n2, l) start `basis`, l at most min(n1, n2), each slice first gets
+    its l leading triplets by subspace iteration. It is certified when those
+    with s > tau leave a residual ||a v - u s||_F at most PARTIAL_SVD_TOL *
+    ||a||_F (u^H a = s v^H holds by construction) and an upper bound on the
+    spectral norm of what they leave out is below tau; because the prox is
+    nonexpansive, the result is then within that residual of the exact one.
+    Every other slice, NaN included, takes the full SVD and the same rebuild
+    as without a basis, so it is thresholded exactly. The real slices stay in
+    real arithmetic.
     """
     h, n1, n2 = stack.shape
-    l = basis.shape[2]
-    u = np.empty((h, n1, l), dtype=np.complex128)
-    s = np.empty((h, l))
-    vh = np.empty((h, l, n2), dtype=np.complex128)
+    l = 0 if basis is None else basis.shape[2]
+    batches = []
+    for pos, a in _batches(stack, n3):
+        triplets, ok = None, np.zeros(len(a), dtype=bool)
+        if l:
+            start = basis[pos] if np.iscomplexobj(a) else basis[pos].real
+            # A non-finite or unconverged batch is left uncertified.
+            with np.errstate(all="ignore"):
+                try:
+                    *triplets, ok = _subspace_svd(a, start, tau)
+                except np.linalg.LinAlgError:
+                    pass
+        batches.append((np.arange(h)[pos], a, triplets, ok))
+    # Allocated only now: the subspace iterations' temporaries peak first.
+    out = np.empty((h, n1, n2), dtype=np.complex128)
+    kept = np.empty(h, dtype=int)
+    v = np.empty((h, n2, l), dtype=np.complex128)
     certified = np.zeros(h, dtype=bool)
-    for pos, part in _batches(stack, n3):
-        start = basis[pos] if np.iscomplexobj(part) else basis[pos].real
-        # A non-finite or unconverged batch is left uncertified for half_svd.
-        with np.errstate(all="ignore"):
-            try:
-                u[pos], s[pos], vh[pos], certified[pos] = _subspace_svd(part, start, tau)
-            except np.linalg.LinAlgError:
-                pass
-    failed = np.flatnonzero(~certified)
-    if failed.size == h:
-        return (*half_svd(stack, n3), certified)
-    if failed.size:
-        fu, fs, fvh = half_svd(stack, n3, which=failed)
-        w = max(l, int(np.count_nonzero(fs > tau, axis=1).max()))
-        u = np.pad(u, ((0, 0), (0, 0), (0, w - l)))
-        s = np.pad(s, ((0, 0), (0, w - l)))
-        vh = np.pad(vh, ((0, 0), (0, w - l), (0, 0)))
-        u[failed], s[failed], vh[failed] = fu[:, :, :w], fs[:, :w], fvh[:, :w]
-    return u, s, vh, certified
+    for idx, a, triplets, ok in batches:
+        certified[idx] = ok
+        parts = [(idx[ok], [t[ok] for t in triplets])] if ok.any() else []
+        if not ok.all():  # a[~ok] is a copy, a itself a view
+            parts.append((idx[~ok], _svd(a[~ok] if ok.any() else a, full_matrices=False)))
+        for pos, (u, s, vh) in parts:
+            u *= np.maximum(s - tau, 0.0)[:, None, :]
+            out[pos], kept[pos], v[pos] = u @ vh, np.count_nonzero(s > tau, axis=1), _ct(vh[:, :l])
+    return out, kept, v, certified
 
 
 def from_half_svd(u, s, vh, n3):

@@ -29,14 +29,22 @@ MAGIC = b"T3F1"
 MAX_ELEMENTS = 1 << 32
 
 
+def _check_dims(path, shape):
+    """Reject dimensions that a T3F1 header cannot hold or that read_tensor
+    would refuse: zero, 2^32 or more, or more than MAX_ELEMENTS in all."""
+    n1, n2, n3 = shape
+    if min(shape) == 0 or max(shape) >= 1 << 32 or n1 * n2 * n3 > MAX_ELEMENTS:
+        raise DimensionOverflow(f"{path}: unusable dimensions ({n1}, {n2}, {n3})")
+
+
 def write_tensor(path, a):
     """Serialize a tensor to a T3F1 file."""
     a = as_tensor3(a)
-    n1, n2, n3 = a.shape
+    _check_dims(path, a.shape)
     payload = np.ascontiguousarray(a.transpose(2, 0, 1)).astype("<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<III", n1, n2, n3))
+        fh.write(struct.pack("<III", *a.shape))
         fh.write(payload)
 
 
@@ -48,8 +56,7 @@ def read_tensor(path):
     if len(raw) < 16:
         raise Truncated(f"{path}: header incomplete")
     n1, n2, n3 = struct.unpack("<III", raw[4:16])
-    if min(n1, n2, n3) == 0 or n1 * n2 * n3 > MAX_ELEMENTS:
-        raise DimensionOverflow(f"{path}: unusable dimensions ({n1}, {n2}, {n3})")
+    _check_dims(path, (n1, n2, n3))
     count = n1 * n2 * n3
     need = 16 + 8 * count
     if len(raw) < need:

@@ -5,19 +5,19 @@ The shrinkage inside ``tsvt`` acts on the Fourier-domain singular values, not
 on the averaged ones; applying it after averaging would not solve the nuclear
 norm proximal problem.
 
-``tsvt(y, tau)`` computes every singular triplet and is exact. The solver
-passes a ``WarmStart`` as well: while the kept rank plus OVERSAMPLE columns
-stays small next to the slices, each slice then gets only its leading
-triplets, by subspace iteration from the previous call's right singular
-vectors, and keeps them only under the certificate of
-``core.partial_half_svd``; a slice that fails it is decomposed exactly.
+Both forms of ``tsvt`` call ``core.half_svt``. ``tsvt(y, tau)`` computes
+every singular triplet and is exact. The solver passes a ``WarmStart`` as
+well: while the kept rank plus OVERSAMPLE columns stays small next to the
+slices, it hands the kernel the previous call's right singular vectors, so
+each slice gets only its leading triplets and keeps them only under the
+kernel's certificate; a slice that fails it is thresholded exactly.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_tensor3, from_half_svd, half_spectrum, half_svd, partial_half_svd
+from .core import as_tensor3, from_half_spectrum, half_spectrum, half_svt
 
 
 def soft_threshold(x, kappa):
@@ -50,43 +50,29 @@ class WarmStart:
     largest kept rank, plus the counts of slice SVDs the partial path
     certified and of those that fell back to the exact SVD."""
 
-    basis: np.ndarray | None = None  # (h, n2, m) right singular vectors
+    basis: np.ndarray | None = None  # (h, n2, l) right singular vectors
     rank: int = 0
     certified: int = 0
     fallbacks: int = 0
 
-    def start(self, h, n2, l):
-        """The (h, n2, l) start: the kept basis, then fixed-seed random columns."""
-        fits = self.basis is not None and self.basis.shape[:2] == (h, n2)
-        have = self.basis[:, :, :l] if fits else np.empty((h, n2, 0))
-        extra = np.random.default_rng(0).standard_normal((h, n2, l - have.shape[2]))
-        return np.concatenate([have, extra], axis=2)
-
-    def partial(self, n1, n2):
-        """Whether the next call may take the partial path."""
-        return PARTIAL_SVD_FRACTION * (self.rank + OVERSAMPLE) <= min(n1, n2)
-
-    def svd(self, stack, n3, tau):
-        """Half-spectrum triplets of stack enough to threshold it at tau."""
+    def svt(self, stack, n3, tau):
+        """The half spectrum of stack thresholded at tau, from partial SVDs
+        started from the last call's vectors, then fixed-seed random columns,
+        while the kept rank is small next to the slices."""
         h, n1, n2 = stack.shape
         l = self.rank + OVERSAMPLE
-        if self.partial(n1, n2):
-            u, s, vh, certified = partial_half_svd(stack, n3, tau, self.start(h, n2, l))
+        start = None
+        if PARTIAL_SVD_FRACTION * l <= min(n1, n2):
+            fits = self.basis is not None and self.basis.shape[:2] == (h, n2)
+            have = self.basis[:, :, :l] if fits else np.empty((h, n2, 0))
+            extra = np.random.default_rng(0).standard_normal((h, n2, l - have.shape[2]))
+            start = np.concatenate([have, extra], axis=2)
+        out, kept, self.basis, certified = half_svt(stack, n3, tau, start)
+        self.rank = int(kept.max())
+        if start is not None:
             self.certified += int(certified.sum())
-            self.fallbacks += int(h - certified.sum())
-            width = l
-        else:
-            u, s, vh = half_svd(stack, n3)
-            certified, width = np.zeros(h, dtype=bool), s.shape[1]
-        self.rank = int(np.count_nonzero(s > tau, axis=1).max())
-        self.basis = None
-        if self.partial(n1, n2):
-            self.basis = np.conj(np.swapaxes(vh[:, :min(self.rank + OVERSAMPLE, width)], 1, 2))
-        if certified.any():
-            # Rebuild from the kept columns only; with nothing certified the
-            # triplets are half_svd's and the rebuild is the exact path's.
-            return u[:, :, :self.rank], s[:, :self.rank], vh[:, :self.rank]
-        return u, s, vh
+            self.fallbacks += h - int(certified.sum())
+        return out
 
 
 def tsvt(y, tau, warm=None):
@@ -105,7 +91,5 @@ def tsvt(y, tau, warm=None):
     y = as_tensor3(y)
     n3 = y.shape[2]
     if warm is None:
-        u, s, vh = half_svd(half_spectrum(y), n3)
-    else:
-        u, s, vh = warm.svd(half_spectrum(y), n3, tau)
-    return from_half_svd(u, np.maximum(s - tau, 0.0), vh, n3)
+        return from_half_spectrum(half_svt(half_spectrum(y), n3, tau)[0], n3)
+    return from_half_spectrum(warm.svt(half_spectrum(y), n3, tau), n3)

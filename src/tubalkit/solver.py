@@ -8,11 +8,11 @@ then a dual ascent step, with the penalty mu growing geometrically until
 capped. The thresholding step carries a ``prox.WarmStart`` from one iteration
 to the next: the iterates change slowly and keep few singular values, so a
 slice's leading triplets usually come from a certified partial SVD started
-from the previous iteration's, within ~1e-12 of the exact step, and otherwise
-from the full SVD. The iteration stops when the successive changes of both
-primal blocks and the feasibility gap are all below eps in max norm. Non-convergence is a
-reported outcome, not an exception: phase-transition experiments need failed
-cells as data points.
+from the previous iteration's, within ~1e-12 of the exact step; any other
+slice is thresholded exactly, from the full SVD. The iteration stops when the
+successive changes of both primal blocks and the feasibility gap are all below
+eps in max norm. Non-convergence is a reported outcome, not an exception:
+phase-transition experiments need failed cells as data points.
 """
 
 import math
@@ -63,6 +63,7 @@ class SolverConfig:
 class Solution:
     """Recovered pair plus convergence diagnostics.
 
+    ``lam`` is the regularization weight the solve used.
     ``residual_history[k]`` is the max of the three stopping quantities at
     iteration k; ``final_residual`` is the feasibility gap at exit.
     ``svd_certified`` and ``svd_fallbacks`` count the half-spectrum slice SVDs
@@ -76,6 +77,7 @@ class Solution:
     iters: int
     final_residual: float
     converged: bool
+    lam: float
     residual_history: list[float] = field(default_factory=list)
     svd_certified: int = 0
     svd_fallbacks: int = 0
@@ -121,6 +123,7 @@ def solve(x, cfg=None):
         iters=iters,
         final_residual=linf_norm(l_cur + e_cur - x),
         converged=converged,
+        lam=lam,
         residual_history=history,
         svd_certified=warm.certified,
         svd_fallbacks=warm.fallbacks,

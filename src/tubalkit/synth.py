@@ -89,6 +89,8 @@ def phase_grid(n, n3, r_fracs, rho_ss, trials, success_tol=1e-3, seed=0):
         raise ValueError("grid axes must be nonempty")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if not success_tol > 0:
+        raise ValueError(f"success_tol must be positive, got {success_tol}")
     children = np.random.SeedSequence(seed).spawn(len(r_fracs) * len(rho_ss) * trials)
     grid = []
     for i, r_frac in enumerate(r_fracs):

@@ -263,10 +263,12 @@ def synth(*extra):
     ]
 
 
-def phase_trials_zero(tmp_path, monkeypatch):
-    return ["phase", "--n", "4", "--n3", "2", "--r-grid", "0.25:0.25:0.25",
-            "--rho-grid", "0.1:0.1:0.1", "--trials", "0", "--seed", "1",
-            "--out", str(tmp_path / "g.csv")]
+def phase(*extra):
+    return lambda tmp_path, monkeypatch: [
+        "phase", "--n", "4", "--n3", "2", "--r-grid", "0.25:0.25:0.25",
+        "--rho-grid", "0.1:0.1:0.1", "--trials", "1", "--seed", "1",
+        "--out", str(tmp_path / "g.csv"), *extra,
+    ]
 
 
 def image_corrupt_out_of_range(tmp_path, monkeypatch):
@@ -282,7 +284,9 @@ def image_corrupt_out_of_range(tmp_path, monkeypatch):
     pytest.param(synth("--lambda", "nan"), 64, id="nan-lambda"),
     pytest.param(synth("--eps", "nan"), 64, id="nan-eps"),
     pytest.param(synth("--eps", "inf"), 64, id="inf-eps"),
-    pytest.param(phase_trials_zero, 64, id="phase-trials-zero"),
+    pytest.param(phase("--trials", "0"), 64, id="phase-trials-zero"),
+    pytest.param(phase("--success-tol=nan"), 64, id="nan-success-tol"),
+    pytest.param(phase("--success-tol=-1"), 64, id="negative-success-tol"),
     pytest.param(image_corrupt_out_of_range, 64, id="corrupt-above-one"),
     pytest.param(report_in_missing_dir, 1, id="report-in-missing-dir"),
     pytest.param(nan_tensor, 1, id="nan-payload"),

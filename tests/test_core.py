@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tubalkit import core
 from tubalkit.algebra import tprod
-from tubalkit.core import fro_norm, inner, l1_norm, linf_norm
+from tubalkit.core import fro_norm, half_spectrum, half_svt, inner, l1_norm, linf_norm
 from tubalkit.errors import ShapeMismatch
 from tubalkit.norms import tnn
 from tubalkit.prox import soft_threshold
 from tubalkit.solver import solve
+from tubalkit.synth import gen_low_tubal_rank
 
 from oracles import SymmetryViolation, bcirc, bdiag, dft3, fold, idft3, unfold
 
@@ -185,6 +187,34 @@ def test_l1_linf():
     assert linf_norm(a) == 2.0
 
 
+# ── singular value thresholding kernel ───────────────────────────────────────
+
+
+@pytest.mark.parametrize("n3", [1, 2, 5, 6])
+def test_uncertified_slices_are_thresholded_exactly(monkeypatch, n3):
+    # Wide enough, and keeping enough values, that a rebuild from fewer
+    # columns than the full SVD's rounds differently under OpenBLAS, which
+    # takes another kernel for a short inner dimension.
+    rng = np.random.default_rng(n3)
+    y = gen_low_tubal_rank(100, 90, n3, 6, seed=n3) + 1e-2 * rng.normal(size=(100, 90, n3))
+    stack, tau = half_spectrum(y), 1.0
+    basis = rng.normal(size=(n3 // 2 + 1, 90, 12))
+    exact, exact_kept, v, certified = half_svt(stack, n3, tau)
+    assert v.shape[2] == 0 and not certified.any()
+    # Within each batch (the real slices, then the complex ones) the first,
+    # third, ... slice fails its certificate.
+    passes = core._certified
+    monkeypatch.setattr(core, "_certified",
+                        lambda a, uk, tau: passes(a, uk, tau) & (np.arange(len(a)) % 2 == 1))
+    out, kept, v, certified = half_svt(stack, n3, tau, basis)
+    assert v.shape == basis.shape
+    assert np.array_equal(kept, exact_kept)
+    failed = ~certified
+    assert not certified[0] and certified.any() == (n3 > 1)
+    assert np.array_equal(out[failed], exact[failed])
+    assert fro_norm(out - exact) <= 1e-10 * fro_norm(exact)
+
+
 # ── layering ─────────────────────────────────────────────────────────────────
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tubalkit"
@@ -207,8 +237,8 @@ def dotted(node):
 
 def test_only_core_calls_the_fft_and_the_svd():
     # The real-slice decision lives in core's half_matmul, half_svd and
-    # partial_half_svd; a module that called numpy's FFT or a matrix
-    # factorization itself could bypass it.
+    # half_svt; a module that called numpy's FFT or a matrix factorization
+    # itself could bypass it.
     kernels = ("np.fft", *(f"np.linalg.{f}" for f in ("svd", "qr", "eigh", "eigvalsh", "eig",
                                                          "eigvals", "cholesky", "svdvals")))
 
@@ -235,3 +265,16 @@ def test_no_module_imports_a_private_name_from_a_sibling():
             ):
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 assert not private, (name, node.module, private)
+
+
+def test_numerical_failure_is_raised_in_one_function():
+    # Every LinAlgError that reaches a caller is mapped in one place.
+    raisers = []
+    for name, tree in package_trees():
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                raises = [n for n in ast.walk(func) if isinstance(n, ast.Raise) and n.exc is not None]
+                names = {x.id for r in raises for x in ast.walk(r.exc) if isinstance(x, ast.Name)}
+                if "NumericalFailure" in names:
+                    raisers.append((name, func.name))
+    assert raisers == [("core.py", "_svd")]

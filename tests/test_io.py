@@ -3,9 +3,13 @@
 import json
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubalkit import io
 from tubalkit.errors import (
@@ -75,6 +79,61 @@ def test_dimension_overflow(tmp_path):
     path.write_bytes(b"T3F1" + struct.pack("<III", 0, 3, 3))
     with pytest.raises(DimensionOverflow):
         io.read_tensor(path)
+
+
+@pytest.mark.parametrize("a", [
+    np.zeros((2, 0, 3)),
+    np.zeros((2**32, 1, 0)),
+    np.broadcast_to(0.0, (2**32, 1, 1)),  # a view: no payload is allocated
+    np.broadcast_to(0.0, (2**16, 2**16, 2)),
+], ids=["zero-mode", "zero-mode-and-2^32", "dim-2^32", "over-max-elements"])
+def test_write_rejects_dimensions_read_would_reject(tmp_path, a):
+    path = tmp_path / "a.t3f"
+    with pytest.raises(DimensionOverflow):
+        io.write_tensor(path, a)
+    assert not path.exists()
+
+
+# A float64 from any 64-bit pattern: signed zeros, infinities, subnormals and
+# NaNs with every payload.
+any_float64 = st.integers(0, 2**64 - 1).map(lambda bits: np.uint64(bits).view(np.float64))
+small_dims = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3))
+special_float64 = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan,
+                                   np.uint64(0x7FF0_0000_DEAD_BEEF).view(np.float64)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(dims=small_dims, data=st.data())
+def test_tensor_roundtrip_is_exact_for_every_bit_pattern(dims, data):
+    n = int(np.prod(dims))
+    values = data.draw(st.lists(any_float64 | special_float64, min_size=n, max_size=n))
+    a = np.array(values, dtype=np.float64).reshape(dims)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.t3f"
+        io.write_tensor(path, a)
+        back = io.read_tensor(path)
+    assert back.shape == a.shape
+    assert back.tobytes() == a.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(dims=st.tuples(*[st.integers(0, 3)] * 3))
+def test_write_accepts_exactly_the_shapes_read_accepts(dims):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.t3f"
+        path.write_bytes(b"T3F1" + struct.pack("<III", *dims) + bytes(8 * int(np.prod(dims))))
+        try:
+            read_ok = io.read_tensor(path).shape == dims
+        except DimensionOverflow:
+            read_ok = False
+        path.unlink()
+        try:
+            io.write_tensor(path, np.zeros(dims))
+            write_ok = True
+        except DimensionOverflow:
+            write_ok = False
+        assert write_ok == read_ok == (min(dims) > 0)
+        assert path.exists() == write_ok
 
 
 # ── P6 images ────────────────────────────────────────────────────────────────

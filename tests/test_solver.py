@@ -51,6 +51,12 @@ def test_default_lambda_values():
     assert np.isclose(default_lambda(50, 50, 1), 1.0 / math.sqrt(50))
 
 
+def test_solution_reports_the_lambda_used():
+    x = np.zeros((4, 6, 3))
+    assert solve(x).lam == default_lambda(4, 6, 3)
+    assert solve(x, SolverConfig(lam=0.3)).lam == 0.3
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(lam=-1.0)
