@@ -196,8 +196,8 @@ def build_parser():
     def add_solver_flags(p):
         p.add_argument("--lambda", dest="lam", type=lambda_or_auto, default=None,
                        help="regularization weight, or 'auto'")
-        p.add_argument("--eps", type=float, default=1e-8)
-        p.add_argument("--max-iters", type=int, default=500)
+        p.add_argument("--eps", type=float, default=SolverConfig.eps)
+        p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
 
     p = sub.add_parser("decompose", help="low-rank + sparse split of a tensor file")
     p.set_defaults(run=cmd_decompose)
@@ -239,8 +239,8 @@ def build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=500)
+    p.add_argument("--eps", type=float, default=SolverConfig.eps)
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
 
     return parser
 

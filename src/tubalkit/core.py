@@ -24,12 +24,13 @@ from .errors import NumericalFailure, ShapeMismatch
 
 
 def as_tensor3(a):
-    """Coerce to a float64 3-way array, rejecting complex input and other ranks."""
+    """Coerce to a float64 3-way array, rejecting complex input, other ranks
+    and an empty third mode, which has no Fourier slices."""
     if np.iscomplexobj(a):
         raise TypeError("expected a real tensor, got complex input")
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 3:
-        raise ShapeMismatch(f"expected a 3-way tensor, got ndim={a.ndim}")
+    if a.ndim != 3 or a.shape[2] == 0:
+        raise ShapeMismatch(f"expected a 3-way tensor with n3 >= 1, got shape {a.shape}")
     return a
 
 

@@ -39,8 +39,10 @@ def _check_dims(path, shape):
 
 def write_tensor(path, a):
     """Serialize a tensor to a T3F1 file."""
+    # Before as_tensor3, so that an empty third mode is a DimensionOverflow too.
+    if np.ndim(a) == 3:
+        _check_dims(path, np.shape(a))
     a = as_tensor3(a)
-    _check_dims(path, a.shape)
     payload = np.ascontiguousarray(a.transpose(2, 0, 1)).astype("<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(MAGIC)

@@ -2,14 +2,14 @@
 
 Solves  min ||L||_tnn + lambda * ||E||_1  subject to  X = L + E.
 
-Each iteration applies one tensor singular value thresholding step to update
-the low-rank part, one elementwise soft-threshold to update the sparse part,
-then a dual ascent step, with the penalty mu growing geometrically until
-capped. The thresholding step carries a ``prox.WarmStart`` from one iteration
-to the next: the iterates change slowly and keep few singular values, so a
-slice's leading triplets usually come from a certified partial SVD started
-from the previous iteration's, within ~1e-12 of the exact step; any other
-slice is thresholded exactly, from the full SVD. The iteration stops when the
+Each iteration of the paper's Algorithm 1 takes one tensor singular value
+thresholding step for the low-rank part, one elementwise soft-threshold for
+the sparse part and a dual ascent step, then sets mu to min(rho * mu, mu_max).
+The thresholding step carries a ``prox.WarmStart`` from one iteration to the
+next: the iterates change slowly and keep few singular values, so a slice's
+leading triplets usually come from a certified partial SVD started from the
+previous iteration's, within ~1e-12 of the exact step; any other slice is
+thresholded exactly, from the full SVD. The iteration stops when the
 successive changes of both primal blocks and the feasibility gap are all below
 eps in max norm. Non-convergence is a reported outcome, not an exception:
 phase-transition experiments need failed cells as data points.
@@ -34,10 +34,7 @@ def default_lambda(n1, n2, n3):
 
 @dataclass
 class SolverConfig:
-    """Solver parameters. ``lam=None`` means use default_lambda of the input.
-
-    Defaults: rho=1.1, mu0=1e-3, mu_max=1e10, eps=1e-8, max_iters=500.
-    """
+    """Solver parameters. ``lam=None`` means use default_lambda of the input."""
 
     lam: float | None = None
     rho: float = 1.1
@@ -51,8 +48,8 @@ class SolverConfig:
             raise ValueError(f"lam must be positive, got {self.lam}")
         if not self.rho > 1:
             raise ValueError(f"rho must exceed 1, got {self.rho}")
-        if not 0 < self.mu0 < self.mu_max:
-            raise ValueError(f"need 0 < mu0 < mu_max, got {self.mu0}, {self.mu_max}")
+        if not 0 < self.mu0 < self.mu_max < math.inf:
+            raise ValueError(f"need 0 < mu0 < mu_max < inf, got {self.mu0}, {self.mu_max}")
         if not 0 < self.eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not self.max_iters >= 1:
@@ -95,33 +92,32 @@ def solve(x, cfg=None):
     l_cur = np.zeros_like(x)
     e_cur = np.zeros_like(x)
     dual = np.zeros_like(x)
+    shift = np.zeros_like(x)  # dual / mu
     history = []
-    converged = False
-    iters = 0
+    mu = cfg.mu0
     warm = WarmStart()
 
-    for k in range(cfg.max_iters):
-        iters += 1
-        mu = min(cfg.mu0 * cfg.rho**k, cfg.mu_max)
-        l_new = tsvt(x - e_cur - dual / mu, 1.0 / mu, warm)
-        e_new = soft_threshold(x - l_new - dual / mu, lam / mu)
+    for iters in range(1, cfg.max_iters + 1):
+        l_new = tsvt(x - e_cur - shift, 1.0 / mu, warm)
+        e_new = soft_threshold(x - l_new - shift, lam / mu)
         gap = l_new + e_new - x
-        dual = dual + mu * gap
-
         dl = linf_norm(l_new - l_cur)
         de = linf_norm(e_new - e_cur)
         dfit = linf_norm(gap)
         history.append(max(dl, de, dfit))
         l_cur, e_cur = l_new, e_new
-        if dl <= cfg.eps and de <= cfg.eps and dfit <= cfg.eps:
-            converged = True
+        converged = dl <= cfg.eps and de <= cfg.eps and dfit <= cfg.eps
+        if converged:
             break
+        dual += mu * gap
+        mu = min(mu * cfg.rho, cfg.mu_max)
+        shift = np.divide(dual, mu, out=gap)  # gap's memory: one array fewer live in tsvt
 
     return Solution(
         l_hat=l_cur,
         e_hat=e_cur,
         iters=iters,
-        final_residual=linf_norm(l_cur + e_cur - x),
+        final_residual=dfit,
         converged=converged,
         lam=lam,
         residual_history=history,

@@ -3,6 +3,8 @@ checked against the dense block-circulant oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubalkit.algebra import ctranspose, identity_tensor, is_fdiagonal, is_orthogonal, tprod
 from tubalkit.core import fro_norm
@@ -104,13 +106,19 @@ def test_ctranspose_moves_to_bcirc_transpose():
     assert np.allclose(bcirc(ctranspose(a)), bcirc(a).T, atol=1e-12)
 
 
-def test_ctranspose_reversal_law():
-    rng = np.random.default_rng(9)
-    a = rng.normal(size=(3, 4, 5))
-    b = rng.normal(size=(4, 2, 5))
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(dims=st.tuples(*[st.integers(1, 5)] * 3), l=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_ctranspose_reversal_law(dims, l, seed):
+    # (a * b)^T = b^T * a^T on every shape, with an empty second mode (l = 0)
+    # as in rank-0 skinny factors.
+    n1, n2, n3 = dims
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n1, n2, n3))
+    b = rng.normal(size=(n2, l, n3))
     lhs = ctranspose(tprod(a, b))
-    rhs = tprod(ctranspose(b), ctranspose(a))
-    assert rel_err(lhs, rhs) <= 1e-10
+    assert lhs.shape == (l, n1, n3)
+    assert fro_norm(lhs - tprod(ctranspose(b), ctranspose(a))) <= 1e-12 * max(fro_norm(lhs), 1.0)
 
 
 # ── identity tensor ──────────────────────────────────────────────────────────

@@ -65,6 +65,17 @@ def test_decompose_zero_tensor(tmp_path):
     assert np.all(io.read_tensor(tmp_path / "e.t3f") == 0.0)
 
 
+def test_decompose_reports_nonconvergence_long_after_mu_reaches_its_cap(tmp_path):
+    # 1.1**k overflows a float near k = 7,450; mu must settle at mu_max instead.
+    x = np.random.default_rng(0).normal(size=(4, 4, 2))
+    report = tmp_path / "r.json"
+    code = run_cli("decompose", "--input", tensor_file(tmp_path, x), "--eps", "1e-300",
+                   "--max-iters", "8000", "--report", str(report))
+    assert code == 2
+    data = json.loads(report.read_text())
+    assert data["converged"] is False and data["iters"] == 8000
+
+
 def test_decompose_missing_input(tmp_path, capsys):
     code = run_cli("decompose", "--input", str(tmp_path / "nope.t3f"))
     assert code == 1

@@ -11,9 +11,9 @@ from tubalkit import core
 from tubalkit.algebra import tprod
 from tubalkit.core import fro_norm, half_spectrum, half_svt, inner, l1_norm, linf_norm
 from tubalkit.errors import ShapeMismatch
-from tubalkit.norms import tnn
-from tubalkit.prox import soft_threshold
-from tubalkit.solver import solve
+from tubalkit.norms import spectral_norm, tnn
+from tubalkit.prox import WarmStart, soft_threshold, tsvt
+from tubalkit.solver import SolverConfig, solve
 from tubalkit.synth import gen_low_tubal_rank
 
 from oracles import SymmetryViolation, bcirc, bdiag, dft3, fold, idft3, unfold
@@ -178,6 +178,22 @@ def test_complex_input_is_rejected():
         solve(z)
     with pytest.raises(TypeError):
         soft_threshold(z, 0.5)
+
+
+def test_empty_third_mode_is_rejected():
+    # No Fourier slices: rejected where the tensor enters, not inside the FFT.
+    # An empty second mode, as in rank-0 skinny factors, stays valid.
+    empty = np.ones((3, 3, 0))
+    for call in (
+        lambda: tsvt(empty, 0.5),
+        lambda: tsvt(empty, 0.5, WarmStart()),
+        lambda: tprod(empty, empty),
+        lambda: spectral_norm(empty),
+        lambda: solve(empty, SolverConfig(lam=1.0)),
+        lambda: gen_low_tubal_rank(3, 3, 0, 1, 0),
+    ):
+        with pytest.raises(ShapeMismatch):
+            call()
 
 
 def test_l1_linf():

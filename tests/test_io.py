@@ -8,12 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tubalkit import io
 from tubalkit.errors import (
     BadMagic,
+    DataError,
     DimensionOverflow,
     MalformedHeader,
     ShapeMismatch,
@@ -136,6 +137,38 @@ def test_write_accepts_exactly_the_shapes_read_accepts(dims):
         assert path.exists() == write_ok
 
 
+def mutated(valid, byte):
+    """`valid` after up to three edits, each cutting it at a random index or
+    writing or inserting a byte drawn from `byte` there."""
+    edit = st.tuples(st.sampled_from(["cut", "write", "insert"]),
+                     st.sampled_from(range(len(valid) + 1)), byte)
+
+    def apply(edits):
+        out = bytearray(valid)
+        for op, i, b in edits:
+            if op == "cut":
+                del out[i:]
+            else:
+                out[i:i + (op == "write")] = [b]
+        return bytes(out)
+
+    return st.lists(edit, max_size=3).map(apply)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(raw=mutated(b"T3F1" + struct.pack("<III", 1, 2, 3) + np.arange(6.0).tobytes(),
+                   st.integers(0, 255)))
+def test_fuzzed_tensor_files_raise_only_data_errors(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.t3f"
+        path.write_bytes(raw)
+        try:
+            a = io.read_tensor(path)
+        except DataError:
+            return
+    assert a.shape == struct.unpack("<III", raw[4:16])
+
+
 # ── P6 images ────────────────────────────────────────────────────────────────
 
 
@@ -182,6 +215,21 @@ def test_image_rejects_other_formats():
 def test_image_rejects_short_raster():
     with pytest.raises(MalformedHeader):
         io.image_to_tensor(b"P6\n4 4\n255\n" + b"\0" * 10)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@example(ppm=b"P6 0 2 255\n" + bytes(6))  # bad size
+@example(ppm=b"P6 1 2 255")  # no separator before the raster
+@example(ppm=b"P6 1 2")  # header ends early
+@example(ppm=b"P6 1 x 255\n" + bytes(6))  # not an integer
+@given(ppm=mutated(b"P6\n# c\n1 2\n255\n" + bytes(range(6)),
+                   st.sampled_from(b" \n#-x0159P") | st.integers(0, 255)))
+def test_fuzzed_images_raise_only_data_errors(ppm):
+    try:
+        a = io.image_to_tensor(ppm)
+    except DataError:
+        return
+    assert a.ndim == 3 and a.shape[2] == 3 and a.size > 0
 
 
 def test_tensor_to_image_needs_three_channels():

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubalkit import solver
-from tubalkit.core import fro_norm, l1_norm
+from tubalkit.algebra import ctranspose, tprod
+from tubalkit.core import fro_norm, from_half_spectrum, l1_norm
+from tubalkit.decomposition import skinny_tsvd, tsvd
 from tubalkit.errors import NumericalFailure
-from tubalkit.norms import spectral_norm, tnn
+from tubalkit.norms import check_subgradient, spectral_norm, tnn
 from tubalkit.prox import OVERSAMPLE, PARTIAL_SVD_FRACTION, WarmStart, soft_threshold, tsvt
 from tubalkit.synth import gen_low_tubal_rank, gen_sparse_bernoulli
 
@@ -119,6 +123,49 @@ def test_tsvt_zero_tau_is_identity_for_odd_and_even_n3():
     for n3 in (2, 3, 4, 5):
         y = rng.normal(size=(4, 3, n3))
         assert fro_norm(tsvt(y, 0.0) - y) <= 1e-10 * fro_norm(y)
+
+
+def spectrum_instance(n1, n2, n3, r, tau, seed):
+    """u * s * v^T with random orthogonal u, v whose Fourier slices each have
+    r singular values in (1.1 tau, 3 tau) and the rest below 0.9 tau, so that
+    tsvt at tau keeps exactly r in every slice."""
+    rng = np.random.default_rng(seed)
+    h, k = n3 // 2 + 1, min(n1, n2)
+    kept = np.arange(k) < r
+    sbar = np.zeros((h, n1, n2), dtype=complex)
+    sbar[:, np.arange(k), np.arange(k)] = tau * np.where(kept, 1.1 + 1.9 * rng.random((h, k)),
+                                                         0.9 * rng.random((h, k)))
+    u = tsvd(rng.normal(size=(n1, n1, n3))).u
+    v = tsvd(rng.normal(size=(n2, n2, n3))).u
+    return tprod(tprod(u, from_half_spectrum(sbar, n3)), ctranspose(v))
+
+
+small_dims = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5))
+taus = st.floats(0.01, 100.0)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(dims=small_dims, tau=taus, seed=seeds, data=st.data())
+def test_tsvt_residual_is_a_tnn_subgradient(dims, tau, seed, data):
+    # Prox optimality: (y - x) / tau is in the TNN subdifferential at
+    # x = tsvt(y, tau), that is u * v^T + w with w orthogonal to the skinny
+    # factors of x and ||w|| <= 1.
+    r = data.draw(st.integers(0, min(dims[:2])))
+    y = spectrum_instance(*dims, r, tau, seed)
+    x = tsvt(y, tau)
+    fac = skinny_tsvd(x)
+    assert fac.u.shape[1] == r
+    w = (y - x) / tau - tprod(fac.u, ctranspose(fac.v))
+    assert check_subgradient(x, w)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(dims=small_dims, tau=taus, seed=seeds)
+def test_tsvt_commutes_with_ctranspose(dims, tau, seed):
+    y = np.random.default_rng(seed).normal(size=dims)
+    out = tsvt(ctranspose(y), tau)
+    assert fro_norm(out - ctranspose(tsvt(y, tau))) <= 1e-12 * max(fro_norm(out), tau)
 
 
 def test_tsvt_rejects_negative_tau():

@@ -75,6 +75,9 @@ def test_config_validation():
     # An infinite eps would meet the stopping test at the first iteration.
     with pytest.raises(ValueError):
         SolverConfig(eps=float("inf"))
+    # mu follows min(rho * mu, mu_max), which an infinite cap would carry to inf.
+    with pytest.raises(ValueError):
+        SolverConfig(mu_max=math.inf)
 
 
 def test_solve_rejects_nonfinite():
@@ -123,6 +126,24 @@ def test_nonconvergence_is_a_value():
     assert not sol.converged
     assert sol.iters == 3
     assert len(sol.residual_history) == 3
+
+
+def test_mu_schedule_does_not_overflow():
+    # 5**k overflows a float at k = 442; mu must settle at mu_max instead.
+    l0 = gen_low_tubal_rank(10, 10, 4, 2, seed=1)
+    e0 = gen_sparse_bernoulli(10, 10, 4, 0.05, "rho", seed=2)
+    sol = solve(l0 + e0, SolverConfig(rho=5, eps=1e-300))
+    assert not sol.converged
+    assert sol.iters == 500
+
+
+def test_final_residual_is_the_exit_feasibility_gap():
+    l0 = gen_low_tubal_rank(12, 12, 4, 1, seed=12)
+    e0 = gen_sparse_bernoulli(12, 12, 4, 0.05, "rho", seed=13)
+    x = l0 + e0
+    for cfg in (SolverConfig(), SolverConfig(max_iters=3)):
+        sol = solve(x, cfg)
+        assert sol.final_residual == linf_norm(sol.l_hat + sol.e_hat - x)
 
 
 def test_deterministic_histories():
