@@ -13,10 +13,13 @@ even, are their own conjugates and therefore real. ``half_matmul`` and
 ``half_svd``, the per-slice SVD behind every t-SVD and norm, keep them in
 real arithmetic, so for n3 = 1 every path reduces to the matrix computation
 bit for bit. ``half_svt``, the singular value thresholding behind every
-``tsvt``, does too; given a start basis it tries a certified partial SVD
-first, and thresholds every slice it cannot certify exactly as it does
-without one.
+``tsvt``, does too. It alone decides when a slice may take a certified
+partial SVD: given a ``WarmStart`` and a kept rank small next to the slices,
+it starts subspace iteration from the previous call's vectors, and it
+thresholds every slice it cannot certify exactly as it does without one.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,6 +118,17 @@ def half_svd(stack, n3, full_matrices=False, compute_uv=True):
 # slice SVDs were certified, with 12 2031, with 4 637.
 PARTIAL_SVD_TOL = 1e-12
 PARTIAL_SVD_STEPS = 16
+# Columns of the partial SVD beyond the last kept rank. On the criterion-1
+# solve 5, 6 and 7 certified the same 2074 of 2091 slice SVDs at the same speed
+# (3: 2066). With 7, slices narrower than 8 * 7 = 56 stay on the full SVD: on
+# 40- and 50-wide slices the partial path gained no time and cost 2-5% more
+# peak memory.
+OVERSAMPLE = 7
+# The partial SVD runs while PARTIAL_SVD_FRACTION * (kept rank + OVERSAMPLE) is
+# at most min(n1, n2). With that many columns a warm call cost 0.55-0.9 of the
+# full SVD on slices 40 to 200 wide; with min(n1, n2) / 6 columns 0.8-1.3, and
+# with min(n1, n2) / 4 1.1-2.3.
+PARTIAL_SVD_FRACTION = 8
 
 
 def _ct(a):
@@ -152,26 +166,46 @@ def _subspace_svd(a, v, tau):
     return u, s, _ct(v), fits & _certified(a, u * kept, tau)
 
 
-def half_svt(stack, n3, tau, basis=None):
-    """Singular value thresholding at tau of every half-spectrum slice:
-    u max(s - tau, 0) vh. Returns (out, kept, v, certified): the thresholded
-    (h, n1, n2) stack and, per slice, the count of singular values above tau,
-    the (n2, l) leading right singular vectors and whether the partial SVD
-    was certified.
+@dataclass
+class WarmStart:
+    """State that ``half_svt`` carries from one call to the next within a
+    solve: the leading right singular vectors of every half-spectrum slice and
+    the largest kept rank, plus the counts of slice SVDs the partial path
+    certified and of those that fell back to the exact SVD."""
 
-    Without a basis l = 0 and every slice takes the full SVD. With an
-    (h, n2, l) start `basis`, l at most min(n1, n2), each slice first gets
-    its l leading triplets by subspace iteration. It is certified when those
-    with s > tau leave a residual ||a v - u s||_F at most PARTIAL_SVD_TOL *
-    ||a||_F (u^H a = s v^H holds by construction) and an upper bound on the
-    spectral norm of what they leave out is below tau; because the prox is
-    nonexpansive, the result is then within that residual of the exact one.
-    Every other slice, NaN included, takes the full SVD and the same rebuild
-    as without a basis, so it is thresholded exactly. The real slices stay in
-    real arithmetic.
+    basis: np.ndarray | None = None  # (h, n2, l) right singular vectors
+    rank: int = 0
+    certified: int = 0
+    fallbacks: int = 0
+
+
+def half_svt(stack, n3, tau, warm=None):
+    """Singular value thresholding at tau of every half-spectrum slice:
+    u max(s - tau, 0) vh, as an (h, n1, n2) stack.
+
+    Without a ``WarmStart`` every slice takes the full SVD. With one, while
+    PARTIAL_SVD_FRACTION * l is at most min(n1, n2) for l = warm.rank +
+    OVERSAMPLE, each slice first gets its l leading triplets by subspace
+    iteration, started from the previous call's right singular vectors, then
+    fixed-seed random columns. It is certified when those with s > tau leave
+    a residual ||a v - u s||_F at most PARTIAL_SVD_TOL * ||a||_F (u^H a =
+    s v^H holds by construction) and an upper bound on the spectral norm of
+    what they leave out is below tau; because the prox is nonexpansive, the
+    result is then within that residual of the exact one. Every other slice,
+    NaN included, takes the full SVD and the same rebuild as without a
+    ``WarmStart``, so it is thresholded exactly. The real slices stay in real
+    arithmetic. ``warm`` keeps the l leading right singular vectors, the
+    largest kept rank and the counts of certified and fallen-back slices.
     """
     h, n1, n2 = stack.shape
-    l = 0 if basis is None else basis.shape[2]
+    l = 0
+    if warm is not None and PARTIAL_SVD_FRACTION * (warm.rank + OVERSAMPLE) <= min(n1, n2):
+        l = warm.rank + OVERSAMPLE
+        # A WarmStart last used on another shape starts from random columns.
+        fits = warm.basis is not None and warm.basis.shape[:2] == (h, n2)
+        have = warm.basis[:, :, :l] if fits else np.empty((h, n2, 0))
+        extra = np.random.default_rng(0).standard_normal((h, n2, l - have.shape[2]))
+        basis = np.concatenate([have, extra], axis=2)
     batches = []
     for pos, a in _batches(stack, n3):
         triplets, ok = None, np.zeros(len(a), dtype=bool)
@@ -186,18 +220,23 @@ def half_svt(stack, n3, tau, basis=None):
         batches.append((np.arange(h)[pos], a, triplets, ok))
     # Allocated only now: the subspace iterations' temporaries peak first.
     out = np.empty((h, n1, n2), dtype=np.complex128)
-    kept = np.empty(h, dtype=int)
     v = np.empty((h, n2, l), dtype=np.complex128)
-    certified = np.zeros(h, dtype=bool)
+    rank = certified = 0
     for idx, a, triplets, ok in batches:
-        certified[idx] = ok
+        certified += int(ok.sum())
         parts = [(idx[ok], [t[ok] for t in triplets])] if ok.any() else []
         if not ok.all():  # a[~ok] is a copy, a itself a view
             parts.append((idx[~ok], _svd(a[~ok] if ok.any() else a, full_matrices=False)))
         for pos, (u, s, vh) in parts:
+            rank = max(rank, int(np.count_nonzero(s > tau, axis=1).max()))
             u *= np.maximum(s - tau, 0.0)[:, None, :]
-            out[pos], kept[pos], v[pos] = u @ vh, np.count_nonzero(s > tau, axis=1), _ct(vh[:, :l])
-    return out, kept, v, certified
+            out[pos], v[pos] = u @ vh, _ct(vh[:, :l])
+    if warm is not None:
+        warm.basis, warm.rank = v, rank
+        if l:
+            warm.certified += certified
+            warm.fallbacks += h - certified
+    return out
 
 
 def from_half_svd(u, s, vh, n3):

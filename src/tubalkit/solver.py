@@ -5,24 +5,25 @@ Solves  min ||L||_tnn + lambda * ||E||_1  subject to  X = L + E.
 Each iteration of the paper's Algorithm 1 takes one tensor singular value
 thresholding step for the low-rank part, one elementwise soft-threshold for
 the sparse part and a dual ascent step, then sets mu to min(rho * mu, mu_max).
-The thresholding step carries a ``prox.WarmStart`` from one iteration to the
-next: the iterates change slowly and keep few singular values, so a slice's
-leading triplets usually come from a certified partial SVD started from the
-previous iteration's, within ~1e-12 of the exact step; any other slice is
-thresholded exactly, from the full SVD. The iteration stops when the
+The thresholding step hands ``core.half_svt`` one ``core.WarmStart`` for the
+whole solve: the iterates change slowly and keep few singular values, so a
+slice's leading triplets usually come from a certified partial SVD started
+from the previous iteration's, within ~1e-12 of the exact step; any other
+slice is thresholded exactly, from the full SVD. The iteration stops when the
 successive changes of both primal blocks and the feasibility gap are all below
 eps in max norm. Non-convergence is a reported outcome, not an exception:
 phase-transition experiments need failed cells as data points.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_tensor3, linf_norm
+from .core import WarmStart, as_tensor3, linf_norm
 from .errors import NonFiniteInput
-from .prox import WarmStart, soft_threshold, tsvt
+from .prox import soft_threshold, tsvt
 
 
 def default_lambda(n1, n2, n3):
@@ -52,8 +53,8 @@ class SolverConfig:
             raise ValueError(f"need 0 < mu0 < mu_max < inf, got {self.mu0}, {self.mu_max}")
         if not 0 < self.eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        if not self.max_iters >= 1:
-            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
+        if not isinstance(self.max_iters, numbers.Integral) or not self.max_iters >= 1:
+            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters}")
 
 
 @dataclass

@@ -7,6 +7,7 @@ independent streams for the low-rank and sparse draws, so results do not
 depend on evaluation order and are reproducible across platforms.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +20,10 @@ from .solver import SolverConfig, solve
 
 def gen_low_tubal_rank(n1, n2, n3, r, seed):
     """Tubal-rank-r tensor p * q^T with factor entries N(0, 1/n1)."""
-    if not 0 <= r <= min(n1, n2):
-        raise RankOutOfRange(f"rank {r} outside [0, {min(n1, n2)}]")
-    if r == 0:
-        return np.zeros((n1, n2, n3))
+    if not isinstance(r, numbers.Integral) or not 0 <= r <= min(n1, n2):
+        raise RankOutOfRange(f"rank must be an integer in [0, {min(n1, n2)}], got {r}")
     rng = np.random.default_rng(seed)
-    scale = 1.0 / np.sqrt(n1)
+    scale = 1.0 / np.sqrt(max(n1, 1))  # n1 = 0 forces r = 0: no entries to scale
     p = rng.normal(0.0, scale, size=(n1, r, n3))
     q = rng.normal(0.0, scale, size=(n2, r, n3))
     return tprod(p, ctranspose(q))
@@ -42,9 +41,9 @@ def gen_sparse_bernoulli(n1, n2, n3, m_or_rho, mode, seed):
     rng = np.random.default_rng(seed)
     out = np.zeros((n1, n2, n3))
     if mode == "count":
-        m = int(m_or_rho)
-        if not 0 <= m <= total:
-            raise CountOutOfRange(f"count {m} outside [0, {total}]")
+        m = m_or_rho
+        if not isinstance(m, numbers.Integral) or not 0 <= m <= total:
+            raise CountOutOfRange(f"count must be an integer in [0, {total}], got {m}")
         if m > 0:
             support = rng.choice(total, size=m, replace=False)
             signs = rng.integers(0, 2, size=m) * 2.0 - 1.0
@@ -87,8 +86,8 @@ def phase_grid(n, n3, r_fracs, rho_ss, trials, success_tol=1e-3, seed=0):
     rho_ss = list(rho_ss)
     if not r_fracs or not rho_ss:
         raise ValueError("grid axes must be nonempty")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    if not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials}")
     if not success_tol > 0:
         raise ValueError(f"success_tol must be positive, got {success_tol}")
     children = np.random.SeedSequence(seed).spawn(len(r_fracs) * len(rho_ss) * trials)

@@ -9,10 +9,10 @@ import pytest
 
 from tubalkit import core
 from tubalkit.algebra import tprod
-from tubalkit.core import fro_norm, half_spectrum, half_svt, inner, l1_norm, linf_norm
+from tubalkit.core import WarmStart, fro_norm, half_spectrum, half_svt, inner, l1_norm, linf_norm
 from tubalkit.errors import ShapeMismatch
 from tubalkit.norms import spectral_norm, tnn
-from tubalkit.prox import WarmStart, soft_threshold, tsvt
+from tubalkit.prox import soft_threshold, tsvt
 from tubalkit.solver import SolverConfig, solve
 from tubalkit.synth import gen_low_tubal_rank
 
@@ -191,6 +191,7 @@ def test_empty_third_mode_is_rejected():
         lambda: spectral_norm(empty),
         lambda: solve(empty, SolverConfig(lam=1.0)),
         lambda: gen_low_tubal_rank(3, 3, 0, 1, 0),
+        lambda: gen_low_tubal_rank(3, 3, 0, 0, 0),
     ):
         with pytest.raises(ShapeMismatch):
             call()
@@ -213,20 +214,26 @@ def test_uncertified_slices_are_thresholded_exactly(monkeypatch, n3):
     # takes another kernel for a short inner dimension.
     rng = np.random.default_rng(n3)
     y = gen_low_tubal_rank(100, 90, n3, 6, seed=n3) + 1e-2 * rng.normal(size=(100, 90, n3))
-    stack, tau = half_spectrum(y), 1.0
-    basis = rng.normal(size=(n3 // 2 + 1, 90, 12))
-    exact, exact_kept, v, certified = half_svt(stack, n3, tau)
-    assert v.shape[2] == 0 and not certified.any()
+    stack, tau, h = half_spectrum(y), 1.0, n3 // 2 + 1
+    exact = half_svt(stack, n3, tau)
+    # As many start columns as the gate lets through at min(n1, n2) = 90.
+    l = 90 // core.PARTIAL_SVD_FRACTION
+    basis = rng.normal(size=(h, 90, l))
+    warm = WarmStart(basis=basis, rank=l - core.OVERSAMPLE)
     # Within each batch (the real slices, then the complex ones) the first,
     # third, ... slice fails its certificate.
     passes = core._certified
     monkeypatch.setattr(core, "_certified",
                         lambda a, uk, tau: passes(a, uk, tau) & (np.arange(len(a)) % 2 == 1))
-    out, kept, v, certified = half_svt(stack, n3, tau, basis)
-    assert v.shape == basis.shape
-    assert np.array_equal(kept, exact_kept)
-    failed = ~certified
-    assert not certified[0] and certified.any() == (n3 > 1)
+    out = half_svt(stack, n3, tau, warm)
+    assert warm.basis.shape == basis.shape
+    # Each slice's kept count is the rank of its thresholded slice.
+    s = np.linalg.svd(stack, compute_uv=False)
+    kept = np.count_nonzero(s > tau, axis=1)
+    assert np.array_equal(np.linalg.matrix_rank(out, tol=1e-9 * s.max()), kept)
+    assert warm.rank == kept.max()
+    failed = [*core.real_slices(n3)[::2], *np.arange(h)[core.complex_slices(n3)][::2]]
+    assert (warm.certified, warm.fallbacks) == (h - len(failed), len(failed))
     assert np.array_equal(out[failed], exact[failed])
     assert fro_norm(out - exact) <= 1e-10 * fro_norm(exact)
 

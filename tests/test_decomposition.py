@@ -227,3 +227,5 @@ def test_best_rank_k_out_of_range():
         best_rank_k(a, 4)
     with pytest.raises(RankOutOfRange):
         best_rank_k(a, -1)
+    with pytest.raises(RankOutOfRange):
+        best_rank_k(a, 1.5)

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from tubalkit import solver
 from tubalkit.algebra import ctranspose, tprod
-from tubalkit.core import fro_norm, from_half_spectrum, l1_norm
+from tubalkit.core import OVERSAMPLE, PARTIAL_SVD_FRACTION, WarmStart, fro_norm, from_half_spectrum, l1_norm
 from tubalkit.decomposition import skinny_tsvd, tsvd
 from tubalkit.errors import NumericalFailure
 from tubalkit.norms import check_subgradient, spectral_norm, tnn
-from tubalkit.prox import OVERSAMPLE, PARTIAL_SVD_FRACTION, WarmStart, soft_threshold, tsvt
+from tubalkit.prox import soft_threshold, tsvt
 from tubalkit.synth import gen_low_tubal_rank, gen_sparse_bernoulli
 
 
@@ -220,6 +220,20 @@ def test_warm_tsvt_certificate_sees_values_beyond_the_basis(n3):
     warm = WarmStart()
     assert_matches_exact(tsvt(y, 5.0, warm), y, 5.0)
     assert warm.fallbacks == 1
+
+
+def test_warm_start_reused_on_another_shape():
+    # The second tensor has another n2 and n3, hence another number of
+    # half-spectrum slices: the first one's basis cannot start its partial SVDs.
+    warm = WarmStart()
+    for shape, n3 in (((WIDE, WIDE), 4), ((WIDE, WIDE + 16), 7)):
+        rng = np.random.default_rng(n3)
+        y = gen_low_tubal_rank(*shape, n3, 3, seed=n3) + 1e-2 * rng.normal(size=(*shape, n3))
+        counted = warm.certified + warm.fallbacks
+        assert_matches_exact(tsvt(y, 1.0, warm), y, 1.0)
+        # Every slice took the partial path.
+        assert warm.certified + warm.fallbacks == counted + n3 // 2 + 1
+        assert warm.basis.shape[:2] == (n3 // 2 + 1, shape[1])
 
 
 def test_warm_tsvt_matches_exact_on_solver_iterates(monkeypatch):

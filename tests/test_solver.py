@@ -66,8 +66,10 @@ def test_config_validation():
         SolverConfig(mu0=1.0, mu_max=0.5)
     with pytest.raises(ValueError):
         SolverConfig(eps=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iters=0)
+    for max_iters in (0, 3.0, 2.5):
+        with pytest.raises(ValueError):
+            SolverConfig(max_iters=max_iters)
+    assert SolverConfig(max_iters=np.int64(3)).max_iters == 3
     # NaN fails every comparison, so it must not slip past a `<=` check.
     for field in ("lam", "rho", "eps"):
         with pytest.raises(ValueError):
@@ -185,7 +187,7 @@ def test_single_slice_matches_matrix_rpca():
 
 def partial_svd_instance(seed=1):
     # The narrowest slices that keep the partial path open up to a kept rank of 3.
-    n = prox.PARTIAL_SVD_FRACTION * (3 + prox.OVERSAMPLE)
+    n = core.PARTIAL_SVD_FRACTION * (3 + core.OVERSAMPLE)
     l0 = gen_low_tubal_rank(n, n, 8, 3, seed=seed)
     e0 = gen_sparse_bernoulli(n, n, 8, 0.05, "rho", seed=seed + 1)
     return l0, l0 + e0

@@ -12,7 +12,10 @@ from tubalkit.synth import PhaseCell, gen_low_tubal_rank, gen_sparse_bernoulli, 
 
 
 def test_rank_zero_gives_zero_tensor():
-    assert np.all(gen_low_tubal_rank(5, 4, 3, 0, seed=0) == 0.0)
+    for shape in ((5, 4, 3), (4, 5, 1), (0, 4, 3)):
+        a = gen_low_tubal_rank(*shape, 0, seed=0)
+        assert a.shape == shape
+        assert np.all(a == 0.0) and not np.signbit(a).any()
 
 
 def test_generated_rank_is_exact():
@@ -33,8 +36,10 @@ def test_low_rank_determinism():
 
 
 def test_rank_out_of_range():
-    with pytest.raises(RankOutOfRange):
-        gen_low_tubal_rank(4, 4, 2, 5, seed=0)
+    for r in (5, -1, 1.5):
+        with pytest.raises(RankOutOfRange):
+            gen_low_tubal_rank(4, 4, 2, r, seed=0)
+    assert gen_low_tubal_rank(4, 4, 2, np.int64(1), seed=0).shape == (4, 4, 2)
 
 
 # ── sparse generator ─────────────────────────────────────────────────────────
@@ -73,6 +78,8 @@ def test_sparse_range_errors():
     with pytest.raises(CountOutOfRange):
         gen_sparse_bernoulli(2, 2, 2, 9, "count", seed=0)
     with pytest.raises(CountOutOfRange):
+        gen_sparse_bernoulli(3, 3, 2, 2.5, "count", seed=0)
+    with pytest.raises(CountOutOfRange):
         gen_sparse_bernoulli(2, 2, 2, 1.5, "rho", seed=0)
     with pytest.raises(ValueError):
         gen_sparse_bernoulli(2, 2, 2, 1, "bogus", seed=0)
@@ -101,3 +108,5 @@ def test_phase_grid_validation():
         phase_grid(10, 3, [], [0.1], trials=1, seed=0)
     with pytest.raises(ValueError):
         phase_grid(10, 3, [0.1], [0.1], trials=0, seed=0)
+    with pytest.raises(ValueError):
+        phase_grid(10, 3, [0.1], [0.1], trials=2.0, seed=0)
