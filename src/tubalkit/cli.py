@@ -111,10 +111,8 @@ def _emit_report(args, x, sol, fields):
 
 
 def _rel_err(estimate, truth):
-    denom = fro_norm(truth)
-    if denom == 0.0:
-        return 0.0 if fro_norm(estimate) == 0.0 else math.inf
-    return fro_norm(estimate - truth) / denom
+    """Relative Frobenius error; the absolute one for a zero truth."""
+    return fro_norm(estimate - truth) / (fro_norm(truth) or 1.0)
 
 
 def cmd_decompose(args):

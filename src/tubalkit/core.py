@@ -239,11 +239,6 @@ def half_svt(stack, n3, tau, warm=None):
     return out
 
 
-def from_half_svd(u, s, vh, n3):
-    """The real tensor whose half-spectrum slices are u @ diag(s) @ vh."""
-    return from_half_spectrum(half_matmul(u * s[:, None, :], vh, n3), n3)
-
-
 def inner(a, b):
     """Inner product sum(conj(a) * b); real for real operands."""
     a = np.asarray(a)
@@ -262,7 +257,4 @@ def l1_norm(a):
 
 
 def linf_norm(a):
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a)))
+    return float(np.max(np.abs(a), initial=0.0))

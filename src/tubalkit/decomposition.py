@@ -15,7 +15,7 @@ import numpy as np
 from .core import (
     as_tensor3,
     from_half_spectrum,
-    from_half_svd,
+    half_matmul,
     half_spectrum,
     half_svd,
     half_weights,
@@ -61,19 +61,15 @@ def _avg_singvals(sbar, n3):
 
 
 def _rank_from_avg(avg, rank_tol):
-    if avg.size == 0 or avg[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(avg > rank_tol * avg[0]))
+    return int(np.count_nonzero(avg > rank_tol * avg.max(initial=0.0)))
 
 
-def skinny_tsvd(a, rank_tol=DEFAULT_RANK_TOL):
+def skinny_tsvd(a):
     """Rank-truncated t-SVD with u: (n1, r, n3), s: (r, r, n3), v: (n2, r, n3)."""
-    if not rank_tol > 0:
-        raise ValueError(f"rank_tol must be positive, got {rank_tol}")
     a = as_tensor3(a)
     n3 = a.shape[2]
     u, s, vh = half_svd(half_spectrum(a), n3)
-    r = _rank_from_avg(_avg_singvals(s, n3), rank_tol)
+    r = _rank_from_avg(_avg_singvals(s, n3), DEFAULT_RANK_TOL)
     return _factors(u[:, :, :r], s[:, :r], vh[:, :r, :], n3, "skinny")
 
 
@@ -92,15 +88,13 @@ def tubal_rank(a, rank_tol=DEFAULT_RANK_TOL):
     return _rank_from_avg(singular_values(a), rank_tol)
 
 
-def average_rank(a, rank_tol=DEFAULT_RANK_TOL):
+def average_rank(a):
     """Mean matrix rank of the Fourier slices, a lower bound on tubal rank."""
-    if not rank_tol > 0:
-        raise ValueError(f"rank_tol must be positive, got {rank_tol}")
     a = as_tensor3(a)
     n3 = a.shape[2]
     sbar = half_svd(half_spectrum(a), n3, compute_uv=False)
     smax = float(sbar.max(initial=0.0))
-    counts = (sbar > rank_tol * smax).sum(axis=1)
+    counts = (sbar > DEFAULT_RANK_TOL * smax).sum(axis=1)
     return float(half_weights(n3) @ counts) / n3
 
 
@@ -112,4 +106,4 @@ def best_rank_k(a, k):
     if not isinstance(k, numbers.Integral) or not 0 <= k <= min(n1, n2):
         raise RankOutOfRange(f"rank must be an integer in [0, {min(n1, n2)}], got {k}")
     u, s, vh = half_svd(half_spectrum(a), n3)
-    return from_half_svd(u[:, :, :k], s[:, :k], vh[:, :k, :], n3)
+    return from_half_spectrum(half_matmul(u[:, :, :k] * s[:, None, :k], vh[:, :k, :], n3), n3)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .algebra import ctranspose, tprod
 from .core import as_tensor3, fro_norm, half_spectrum, half_svd, linf_norm
-from .decomposition import DEFAULT_RANK_TOL, singular_values, skinny_tsvd
+from .decomposition import singular_values, skinny_tsvd
 from .errors import ShapeMismatch, ZeroTensor
 
 
@@ -39,7 +39,7 @@ class IncoherenceReport:
     r: int
 
 
-def incoherence(a, rank_tol=DEFAULT_RANK_TOL):
+def incoherence(a):
     """Measure the incoherence parameters of a nonzero tensor.
 
     mu_u is the smallest mu with max_i ||u^T * e_i||_F <= sqrt(mu r / (n1 n3)),
@@ -48,7 +48,7 @@ def incoherence(a, rank_tol=DEFAULT_RANK_TOL):
     """
     a = as_tensor3(a)
     n1, n2, n3 = a.shape
-    fac = skinny_tsvd(a, rank_tol)
+    fac = skinny_tsvd(a)
     r = fac.u.shape[1]
     if r == 0:
         raise ZeroTensor("incoherence is undefined for the zero tensor")

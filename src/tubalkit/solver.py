@@ -3,16 +3,17 @@
 Solves  min ||L||_tnn + lambda * ||E||_1  subject to  X = L + E.
 
 Each iteration of the paper's Algorithm 1 takes one tensor singular value
-thresholding step for the low-rank part, one elementwise soft-threshold for
-the sparse part and a dual ascent step, then sets mu to min(rho * mu, mu_max).
-The thresholding step hands ``core.half_svt`` one ``core.WarmStart`` for the
-whole solve: the iterates change slowly and keep few singular values, so a
-slice's leading triplets usually come from a certified partial SVD started
-from the previous iteration's, within ~1e-12 of the exact step; any other
-slice is thresholded exactly, from the full SVD. The iteration stops when the
-successive changes of both primal blocks and the feasibility gap are all below
-eps in max norm. Non-convergence is a reported outcome, not an exception:
-phase-transition experiments need failed cells as data points.
+thresholding step for the low-rank part, one elementwise soft-threshold for the
+sparse part and a dual ascent step, then sets mu to min(RHO * mu, MU_MAX); that
+schedule, from mu = MU0, is fixed as in the paper. The thresholding step hands
+``core.half_svt`` one ``core.WarmStart`` for the whole solve: the iterates
+change slowly and keep few singular values, so a slice's leading triplets
+usually come from a certified partial SVD started from the previous
+iteration's, within ~1e-12 of the exact step; any other slice is thresholded
+exactly, from the full SVD. The iteration stops when the successive changes of
+both primal blocks and the feasibility gap are all below eps in max norm.
+Non-convergence is a reported outcome, not an exception: phase-transition
+experiments need failed cells as data points.
 """
 
 import math
@@ -33,24 +34,23 @@ def default_lambda(n1, n2, n3):
     return 1.0 / math.sqrt(max(n1, n2) * n3)
 
 
+# Algorithm 1 fixes its penalty schedule (inexact ALM); these are the paper's values.
+RHO = 1.1
+MU0 = 1e-3
+MU_MAX = 1e10
+
+
 @dataclass
 class SolverConfig:
-    """Solver parameters. ``lam=None`` means use default_lambda of the input."""
+    """A solve's settable parameters. ``lam=None`` means default_lambda of the input."""
 
     lam: float | None = None
-    rho: float = 1.1
-    mu0: float = 1e-3
-    mu_max: float = 1e10
     eps: float = 1e-8
     max_iters: int = 500
 
     def __post_init__(self):
         if self.lam is not None and not self.lam > 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if not self.rho > 1:
-            raise ValueError(f"rho must exceed 1, got {self.rho}")
-        if not 0 < self.mu0 < self.mu_max < math.inf:
-            raise ValueError(f"need 0 < mu0 < mu_max < inf, got {self.mu0}, {self.mu_max}")
         if not 0 < self.eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not isinstance(self.max_iters, numbers.Integral) or not self.max_iters >= 1:
@@ -95,7 +95,7 @@ def solve(x, cfg=None):
     dual = np.zeros_like(x)
     shift = np.zeros_like(x)  # dual / mu
     history = []
-    mu = cfg.mu0
+    mu = MU0
     warm = WarmStart()
 
     for iters in range(1, cfg.max_iters + 1):
@@ -111,7 +111,7 @@ def solve(x, cfg=None):
         if converged:
             break
         dual += mu * gap
-        mu = min(mu * cfg.rho, cfg.mu_max)
+        mu = min(mu * RHO, MU_MAX)
         shift = np.divide(dual, mu, out=gap)  # gap's memory: one array fewer live in tsvt
 
     return Solution(

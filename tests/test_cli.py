@@ -66,7 +66,7 @@ def test_decompose_zero_tensor(tmp_path):
 
 
 def test_decompose_reports_nonconvergence_long_after_mu_reaches_its_cap(tmp_path):
-    # 1.1**k overflows a float near k = 7,450; mu must settle at mu_max instead.
+    # 1.1**k overflows a float near k = 7,450; mu must settle at MU_MAX instead.
     x = np.random.default_rng(0).normal(size=(4, 4, 2))
     report = tmp_path / "r.json"
     code = run_cli("decompose", "--input", tensor_file(tmp_path, x), "--eps", "1e-300",
@@ -114,6 +114,25 @@ def test_synth_trivial_instance(tmp_path):
     assert data["rel_err_l"] == 0.0
     assert data["rel_err_e"] == 0.0
     assert data["tubal_rank"] == 0
+
+
+@pytest.mark.parametrize("instance, zero_truth", [
+    (("--rank", "0", "--sparsity-rho", "0.9", "--lambda", "2"), "rel_err_l"),
+    (("--rank", "3", "--sparsity-count", "0", "--lambda", "0.01"), "rel_err_e"),
+], ids=["rank_0", "no_corruption"])
+def test_synth_reports_the_error_against_a_zero_truth(tmp_path, instance, zero_truth):
+    # The solver misplaces all of X here: the error against the zero part is
+    # its absolute error, a number, not the "exact" sentinel of a perfect match.
+    report, csv = tmp_path / "s.json", tmp_path / "s.csv"
+    code = run_cli("synth", "--n1", "10", "--n2", "10", "--n3", "4", "--seed", "1", *instance,
+                   "--report", str(report), "--csv", str(csv))
+    assert code == 0
+    data = json.loads(report.read_text())
+    rows = dict(line.split(",") for line in csv.read_text().splitlines()[1:])
+    for key in ("rel_err_l", "rel_err_e"):
+        assert isinstance(data[key], float) and data[key] > 0.0
+        assert float(rows[key]) == data[key]
+    assert data[zero_truth] > 1.0
 
 
 def test_synth_reports_reproducible(tmp_path):

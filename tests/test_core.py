@@ -2,11 +2,14 @@
 and the package layering around the half-spectrum kernel."""
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tubalkit
 from tubalkit import core
 from tubalkit.algebra import tprod
 from tubalkit.core import WarmStart, fro_norm, half_spectrum, half_svt, inner, l1_norm, linf_norm
@@ -202,6 +205,7 @@ def test_l1_linf():
     a[0, :, 0] = [1.0, -2.0, 0.0]
     assert l1_norm(a) == 3.0
     assert linf_norm(a) == 2.0
+    assert linf_norm(np.zeros((0, 3, 2))) == 0.0
 
 
 # ── singular value thresholding kernel ───────────────────────────────────────
@@ -301,3 +305,13 @@ def test_numerical_failure_is_raised_in_one_function():
                 if "NumericalFailure" in names:
                     raisers.append((name, func.name))
     assert raisers == [("core.py", "_svd")]
+
+
+def test_no_knob_that_no_caller_sets():
+    # Algorithm 1's mu schedule is fixed, and only tubal_rank, which reports
+    # the rank of noisy solver outputs, takes a rank tolerance. A new knob
+    # changes this test on purpose.
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["lam", "eps", "max_iters"]
+    takes_tol = [name for name in tubalkit.__all__
+                 if "rank_tol" in inspect.signature(getattr(tubalkit, name)).parameters]
+    assert takes_tol == ["tubal_rank"]

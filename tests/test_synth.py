@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tubalkit.decomposition import tubal_rank
-from tubalkit.errors import CountOutOfRange, RankOutOfRange
+from tubalkit.errors import CountOutOfRange, RankOutOfRange, ShapeMismatch
 from tubalkit.synth import PhaseCell, gen_low_tubal_rank, gen_sparse_bernoulli, phase_grid
 
 
@@ -40,6 +40,11 @@ def test_rank_out_of_range():
         with pytest.raises(RankOutOfRange):
             gen_low_tubal_rank(4, 4, 2, r, seed=0)
     assert gen_low_tubal_rank(4, 4, 2, np.int64(1), seed=0).shape == (4, 4, 2)
+    # The dimensions follow as_tensor3's rule, before the rank is checked.
+    for shape, r in (((4, 4, 2.5), 1), ((-1, 4, 2), 0), ((4, 4, 0), 0)):
+        with pytest.raises(ShapeMismatch):
+            gen_low_tubal_rank(*shape, r, seed=0)
+    assert gen_low_tubal_rank(np.int64(4), 4, np.int32(2), 1, seed=0).shape == (4, 4, 2)
 
 
 # ── sparse generator ─────────────────────────────────────────────────────────
@@ -83,6 +88,10 @@ def test_sparse_range_errors():
         gen_sparse_bernoulli(2, 2, 2, 1.5, "rho", seed=0)
     with pytest.raises(ValueError):
         gen_sparse_bernoulli(2, 2, 2, 1, "bogus", seed=0)
+    for shape in ((2.5, 3, 2), (3, 3, 0), (3, -1, 2)):
+        with pytest.raises(ShapeMismatch):
+            gen_sparse_bernoulli(*shape, 0.1, "rho", seed=0)
+    assert gen_sparse_bernoulli(np.int64(3), 3, 2, 1, "count", seed=0).shape == (3, 3, 2)
 
 
 # ── phase grid ───────────────────────────────────────────────────────────────
@@ -110,3 +119,6 @@ def test_phase_grid_validation():
         phase_grid(10, 3, [0.1], [0.1], trials=0, seed=0)
     with pytest.raises(ValueError):
         phase_grid(10, 3, [0.1], [0.1], trials=2.0, seed=0)
+    for n, n3 in ((10.5, 3), (0, 3), (10, 0), (10, 2.0)):
+        with pytest.raises(ShapeMismatch):
+            phase_grid(n, n3, [0.1], [0.1], trials=1, seed=0)
