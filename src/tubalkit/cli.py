@@ -64,23 +64,19 @@ def lambda_or_auto(text):
 
 
 def grid(text):
-    """MATLAB-style inclusive range a:step:b of at most MAX_GRID_VALUES values."""
+    """MATLAB-style inclusive range a:step:b, the values a + i * step up to b,
+    at most MAX_GRID_VALUES of them."""
     a, step, b = map(float, text.split(":"))
     if not all(map(math.isfinite, (a, step, b))):
         raise argparse.ArgumentTypeError("bounds and step must be finite")
     if step <= 0:
         raise argparse.ArgumentTypeError("step must be positive")
-    values = []
-    v = a
-    while v <= b + 1e-12:
-        # Also stops a step too small to move v, which would loop forever.
-        if len(values) == MAX_GRID_VALUES:
-            raise argparse.ArgumentTypeError(f"more than {MAX_GRID_VALUES} values")
-        values.append(round(v, 12))
-        v += step
-    if not values:
+    count = (b + 1e-12 - a) / step
+    if count < 0:
         raise argparse.ArgumentTypeError(f"{text!r} describes an empty grid")
-    return values
+    if count >= MAX_GRID_VALUES:
+        raise argparse.ArgumentTypeError(f"more than {MAX_GRID_VALUES} values")
+    return [round(a + i * step, 12) for i in range(int(count) + 1)]
 
 
 def _solve(x, args):

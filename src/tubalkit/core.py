@@ -13,10 +13,9 @@ even, are their own conjugates and therefore real. ``half_matmul`` and
 ``half_svd``, the per-slice SVD behind every t-SVD and norm, keep them in
 real arithmetic, so for n3 = 1 every path reduces to the matrix computation
 bit for bit. ``half_svt``, the singular value thresholding behind every
-``tsvt``, does too. It alone decides when a slice may take a certified
-partial SVD: given a ``WarmStart`` and a kept rank small next to the slices,
-it starts subspace iteration from the previous call's vectors, and it
-thresholds every slice it cannot certify exactly as it does without one.
+``tsvt``, does too, and overwrites the stack it is given. It alone decides
+when a slice may take a certified partial SVD, started from a
+``WarmStart``'s vectors, and thresholds every other slice exactly.
 """
 
 from dataclasses import dataclass
@@ -70,10 +69,8 @@ def half_weights(n3):
 def half_matmul(a, b, n3):
     """Slice-wise a @ b of two half-spectrum stacks; real slices in real arithmetic."""
     out = np.empty((a.shape[0], a.shape[1], b.shape[2]), dtype=np.complex128)
-    cx = complex_slices(n3)
-    out[cx] = np.matmul(a[cx], b[cx])
-    for i in real_slices(n3):
-        out[i] = np.ascontiguousarray(a[i].real) @ np.ascontiguousarray(b[i].real)
+    for (pos, x), (_, y) in zip(_batches(a, n3), _batches(b, n3)):
+        out[pos] = x @ y
     return out
 
 
@@ -181,7 +178,7 @@ class WarmStart:
 
 def half_svt(stack, n3, tau, warm=None):
     """Singular value thresholding at tau of every half-spectrum slice:
-    u max(s - tau, 0) vh, as an (h, n1, n2) stack.
+    u max(s - tau, 0) vh, written over the (h, n1, n2) `stack`, which it returns.
 
     Without a ``WarmStart`` every slice takes the full SVD. With one, while
     PARTIAL_SVD_FRACTION * l is at most min(n1, n2) for l = warm.rank +
@@ -198,17 +195,19 @@ def half_svt(stack, n3, tau, warm=None):
     largest kept rank and the counts of certified and fallen-back slices.
     """
     h, n1, n2 = stack.shape
-    l = 0
+    # The start basis; each batch's new right singular vectors replace its own.
+    basis = np.empty((h, n2, 0), dtype=np.complex128)
     if warm is not None and PARTIAL_SVD_FRACTION * (warm.rank + OVERSAMPLE) <= min(n1, n2):
         l = warm.rank + OVERSAMPLE
         # A WarmStart last used on another shape starts from random columns.
-        fits = warm.basis is not None and warm.basis.shape[:2] == (h, n2)
-        have = warm.basis[:, :, :l] if fits else np.empty((h, n2, 0))
-        extra = np.random.default_rng(0).standard_normal((h, n2, l - have.shape[2]))
-        basis = np.concatenate([have, extra], axis=2)
-    batches = []
+        if warm.basis is not None and warm.basis.shape[:2] == (h, n2):
+            basis = warm.basis[:, :, :l]
+        extra = np.random.default_rng(0).standard_normal((h, n2, l - basis.shape[2]))
+        basis = np.concatenate([basis, extra], axis=2, dtype=np.complex128)
+    l = basis.shape[2]
+    rank = certified = 0
     for pos, a in _batches(stack, n3):
-        triplets, ok = None, np.zeros(len(a), dtype=bool)
+        idx, ok = np.arange(h)[pos], np.zeros(len(a), dtype=bool)
         if l:
             start = basis[pos] if np.iscomplexobj(a) else basis[pos].real
             # A non-finite or unconverged batch is left uncertified.
@@ -217,12 +216,6 @@ def half_svt(stack, n3, tau, warm=None):
                     *triplets, ok = _subspace_svd(a, start, tau)
                 except np.linalg.LinAlgError:
                     pass
-        batches.append((np.arange(h)[pos], a, triplets, ok))
-    # Allocated only now: the subspace iterations' temporaries peak first.
-    out = np.empty((h, n1, n2), dtype=np.complex128)
-    v = np.empty((h, n2, l), dtype=np.complex128)
-    rank = certified = 0
-    for idx, a, triplets, ok in batches:
         certified += int(ok.sum())
         parts = [(idx[ok], [t[ok] for t in triplets])] if ok.any() else []
         if not ok.all():  # a[~ok] is a copy, a itself a view
@@ -230,13 +223,14 @@ def half_svt(stack, n3, tau, warm=None):
         for pos, (u, s, vh) in parts:
             rank = max(rank, int(np.count_nonzero(s > tau, axis=1).max()))
             u *= np.maximum(s - tau, 0.0)[:, None, :]
-            out[pos], v[pos] = u @ vh, _ct(vh[:, :l])
+            stack[pos], basis[pos] = u @ vh, _ct(vh[:, :l])
+        del parts, u, s, vh  # freed before the next batch's iteration peaks
     if warm is not None:
-        warm.basis, warm.rank = v, rank
+        warm.basis, warm.rank = basis, rank
         if l:
             warm.certified += certified
             warm.fallbacks += h - certified
-    return out
+    return stack
 
 
 def inner(a, b):

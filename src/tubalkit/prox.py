@@ -22,7 +22,7 @@ def soft_threshold(x, kappa):
     if np.iscomplexobj(x):
         raise TypeError("expected a real array, got complex input")
     x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.maximum(np.abs(x) - kappa, 0.0)
+    return x - np.clip(x, -kappa, kappa)
 
 
 def tsvt(y, tau, warm=None):

@@ -79,10 +79,6 @@ class PhaseCell:
     successes: int
 
 
-def _round_half_up(x):
-    return int(np.floor(x + 0.5))
-
-
 def phase_grid(n, n3, r_fracs, rho_ss, trials, success_tol=1e-3, seed=0):
     """Run the recovery experiment over a grid of (r/n, rho_s) cells.
 
@@ -100,17 +96,20 @@ def phase_grid(n, n3, r_fracs, rho_ss, trials, success_tol=1e-3, seed=0):
         raise ValueError(f"trials must be a positive integer, got {trials}")
     if not success_tol > 0:
         raise ValueError(f"success_tol must be positive, got {success_tol}")
+    ranks = [np.floor(r_frac * n + 0.5) for r_frac in r_fracs]  # rounded half up
+    for r_frac, r in zip(r_fracs, ranks):
+        if not 1 <= r <= n:  # NaN included
+            raise RankOutOfRange(f"r_frac {r_frac} rounds to rank {r:g}, outside [1, {n}]")
     children = np.random.SeedSequence(seed).spawn(len(r_fracs) * len(rho_ss) * trials)
     grid = []
-    for i, r_frac in enumerate(r_fracs):
+    for i, (r_frac, r) in enumerate(zip(r_fracs, ranks)):
         row = []
         for j, rho_s in enumerate(rho_ss):
-            r = max(1, _round_half_up(r_frac * n))
             successes = 0
             for t in range(trials):
                 cell_seq = children[(i * len(rho_ss) + j) * trials + t]
                 lr_seed, sp_seed = cell_seq.spawn(2)
-                l0 = gen_low_tubal_rank(n, n, n3, r, lr_seed)
+                l0 = gen_low_tubal_rank(n, n, n3, int(r), lr_seed)
                 e0 = gen_sparse_bernoulli(n, n, n3, rho_s, "rho", sp_seed)
                 sol = solve(l0 + e0, SolverConfig())
                 rel = fro_norm(sol.l_hat - l0) / fro_norm(l0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tubalkit import errors, io
-from tubalkit.cli import EXIT_CODES, main
+from tubalkit.cli import EXIT_CODES, grid, main
 from tubalkit.core import fro_norm
 from tubalkit.synth import gen_low_tubal_rank, gen_sparse_bernoulli
 
@@ -192,6 +192,14 @@ def test_phase_bad_grid_range_is_usage_error(tmp_path, r_grid):
     assert exc.value.code == 64
 
 
+def test_grid_values_are_a_plus_i_step():
+    # Summing the step would drift to 999.900000000159 and drop 1000.
+    values = grid("0.1:0.1:1000")
+    assert len(values) == 10_000 and values[-3:] == [999.8, 999.9, 1000.0]
+    # A step that cannot move a huge bound still gives the one value.
+    assert grid("1e300:1:1e300") == [1e300]
+
+
 def test_phase_deterministic(tmp_path):
     args = [
         "phase", "--n", "20", "--n3", "5",
@@ -317,6 +325,8 @@ def image_corrupt_out_of_range(tmp_path, monkeypatch):
     pytest.param(phase("--trials", "0"), 64, id="phase-trials-zero"),
     pytest.param(phase("--success-tol=nan"), 64, id="nan-success-tol"),
     pytest.param(phase("--success-tol=-1"), 64, id="negative-success-tol"),
+    pytest.param(phase("--r-grid=-0.5:0.1:-0.4"), 64, id="phase-negative-rank-fraction"),
+    pytest.param(phase("--r-grid", "0:0.01:0.02"), 64, id="phase-rank-fraction-rounds-to-zero"),
     pytest.param(image_corrupt_out_of_range, 64, id="corrupt-above-one"),
     pytest.param(report_in_missing_dir, 1, id="report-in-missing-dir"),
     pytest.param(nan_tensor, 1, id="nan-payload"),

@@ -219,7 +219,7 @@ def test_uncertified_slices_are_thresholded_exactly(monkeypatch, n3):
     rng = np.random.default_rng(n3)
     y = gen_low_tubal_rank(100, 90, n3, 6, seed=n3) + 1e-2 * rng.normal(size=(100, 90, n3))
     stack, tau, h = half_spectrum(y), 1.0, n3 // 2 + 1
-    exact = half_svt(stack, n3, tau)
+    exact = half_svt(stack.copy(), n3, tau)
     # As many start columns as the gate lets through at min(n1, n2) = 90.
     l = 90 // core.PARTIAL_SVD_FRACTION
     basis = rng.normal(size=(h, 90, l))
@@ -229,7 +229,7 @@ def test_uncertified_slices_are_thresholded_exactly(monkeypatch, n3):
     passes = core._certified
     monkeypatch.setattr(core, "_certified",
                         lambda a, uk, tau: passes(a, uk, tau) & (np.arange(len(a)) % 2 == 1))
-    out = half_svt(stack, n3, tau, warm)
+    out = half_svt(stack.copy(), n3, tau, warm)
     assert warm.basis.shape == basis.shape
     # Each slice's kept count is the rank of its thresholded slice.
     s = np.linalg.svd(stack, compute_uv=False)
@@ -240,6 +240,17 @@ def test_uncertified_slices_are_thresholded_exactly(monkeypatch, n3):
     assert (warm.certified, warm.fallbacks) == (h - len(failed), len(failed))
     assert np.array_equal(out[failed], exact[failed])
     assert fro_norm(out - exact) <= 1e-10 * fro_norm(exact)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["exact", "warm"])
+@pytest.mark.parametrize("n3", [1, 4, 7])
+def test_half_svt_overwrites_and_returns_its_stack(n3, warm):
+    y = gen_low_tubal_rank(80, 80, n3, 3, seed=n3) + 1e-2 * np.random.default_rng(n3).normal(size=(80, 80, n3))
+    stack = half_spectrum(y)
+    expected = half_svt(stack.copy(), n3, 1.0)
+    out = half_svt(stack, n3, 1.0, WarmStart(rank=3) if warm else None)
+    assert out is stack
+    assert fro_norm(out - expected) <= 1e-10 * fro_norm(expected)
 
 
 # ── layering ─────────────────────────────────────────────────────────────────
@@ -282,6 +293,28 @@ def test_only_core_calls_the_fft_and_the_svd():
             if isinstance(node, ast.ImportFrom):
                 for alias in node.names:
                     assert not reaches_kernel(f"{node.module}.{alias.name}"), (name, alias.name)
+
+
+def test_only_batches_and_half_weights_read_the_real_slices():
+    # _batches applies the real/complex split for every slice-wise kernel and
+    # half_weights turns it into slice multiplicities; any other reader would
+    # be a second copy of that decision.
+    split = {"real_slices", "complex_slices"}
+    readers = set()
+
+    def visit(node, module, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            used = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if isinstance(child, (ast.Name, ast.Attribute)) and used in split:
+                readers.add((module, func))
+            visit(child, module, func)
+
+    for name, tree in package_trees():
+        visit(tree, name, None)
+    assert readers == {("core.py", "_batches"), ("core.py", "half_weights")}
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():

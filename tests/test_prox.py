@@ -1,5 +1,7 @@
 """Proximal operators: soft threshold and tensor singular value thresholding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,18 @@ def test_soft_threshold_rejects_negative():
     for kappa in (-0.1, np.nan):
         with pytest.raises(ValueError):
             soft_threshold(np.zeros((1, 1, 1)), kappa)
+
+
+def test_soft_threshold_zeros_are_positive():
+    # x - clip(x, -kappa, kappa) equals sign(x) * max(|x| - kappa, 0) except
+    # for the sign of its zeros: that form gives -0.0 for negative x.
+    x = np.random.default_rng(4).normal(size=(5, 6, 7))
+    x[0, 0, :4] = [-0.0, 0.0, np.inf, -np.inf]
+    x[0, 1, 0] = np.nan
+    for kappa in (0.0, 0.5, 3.0):
+        out = soft_threshold(x, kappa)
+        assert np.array_equal(out, np.sign(x) * np.maximum(np.abs(x) - kappa, 0.0), equal_nan=True)
+        assert not np.any(np.signbit(out) & (out == 0.0))
 
 
 # ── tsvt ─────────────────────────────────────────────────────────────────────
@@ -174,6 +188,20 @@ def test_tsvt_rejects_negative_tau():
             tsvt(np.zeros((2, 2, 2)), tau)
 
 
+def test_exact_tsvt_holds_one_spectrum_less():
+    # The kernel thresholds the spectrum of y in place: a second (h, n1, n2)
+    # buffer for its output would lift the peak here to ~5 spectrum sizes.
+    y = np.random.default_rng(5).normal(size=(40, 40, 400))
+    spectrum = (400 // 2 + 1) * 40 * 40 * 16
+    tracemalloc.start()
+    try:
+        tsvt(y, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * spectrum
+
+
 # ── tsvt with a warm start (certified partial SVD) ──────────────────────────
 
 
@@ -259,3 +287,15 @@ def test_tsvt_nan_input_is_a_numerical_failure(warm):
     y[3, 4, 1] = np.nan
     with pytest.raises(NumericalFailure):
         tsvt(y, 1.0, WarmStart() if warm else None)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["exact", "warm"])
+def test_tsvt_leaves_its_input_unchanged(warm):
+    rng = np.random.default_rng(11)
+    y = gen_low_tubal_rank(WIDE, WIDE, 6, 3, seed=11) + 1e-2 * rng.normal(size=(WIDE, WIDE, 6))
+    before = y.copy()
+    state = WarmStart() if warm else None
+    for tau in (1.0, 0.5):
+        tsvt(y, tau, state)
+        assert np.array_equal(y, before)
+    assert not warm or state.certified > 0

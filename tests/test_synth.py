@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tubalkit import synth
 from tubalkit.decomposition import tubal_rank
 from tubalkit.errors import CountOutOfRange, RankOutOfRange, ShapeMismatch
 from tubalkit.synth import PhaseCell, gen_low_tubal_rank, gen_sparse_bernoulli, phase_grid
@@ -112,7 +113,7 @@ def test_phase_grid_easy_cell_succeeds():
     assert grid[0][0].successes == 2
 
 
-def test_phase_grid_validation():
+def test_phase_grid_validation(monkeypatch):
     with pytest.raises(ValueError):
         phase_grid(10, 3, [], [0.1], trials=1, seed=0)
     with pytest.raises(ValueError):
@@ -122,3 +123,19 @@ def test_phase_grid_validation():
     for n, n3 in ((10.5, 3), (0, 3), (10, 0), (10, 2.0)):
         with pytest.raises(ShapeMismatch):
             phase_grid(n, n3, [0.1], [0.1], trials=1, seed=0)
+
+    # Every rank fraction must round half up to a rank in [1, n] before the
+    # first solve; the solve below marks a grid that got past that check.
+    class Solved(Exception):
+        pass
+
+    def solve(*args, **kwargs):
+        raise Solved
+
+    monkeypatch.setattr(synth, "solve", solve)
+    for r_frac in (-0.5, 0.0, 0.04, 1.05, 1.1, np.nan, np.inf):
+        with pytest.raises(RankOutOfRange):
+            phase_grid(10, 3, [0.1, r_frac], [0.1], trials=1, seed=0)
+    for r_frac in (0.05, 1.04):
+        with pytest.raises(Solved):
+            phase_grid(10, 3, [r_frac], [0.1], trials=1, seed=0)
