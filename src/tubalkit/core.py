@@ -37,16 +37,18 @@ def as_tensor3(a):
 
 
 def half_spectrum(a):
-    """Fourier slices 0..n3 // 2 of a real tensor as an (h, n1, n2) complex stack."""
-    return np.ascontiguousarray(np.moveaxis(np.fft.rfft(a, axis=2), 2, 0))
+    """Slices 0..n3 // 2 of a real tensor's mode-3 FFT, written straight in (h, n1, n2) C order."""
+    out = np.empty((a.shape[2] // 2 + 1, *a.shape[:2]), dtype=np.complex128)
+    np.fft.rfft(a, axis=2, out=np.moveaxis(out, 0, 2))
+    return out
 
 
 def from_half_spectrum(stack, n3):
-    """The real (n1, n2, n3) tensor whose half spectrum is the (h, n1, n2) `stack`.
-
-    The imaginary parts of the self-conjugate slices are ignored.
-    """
-    return np.ascontiguousarray(np.fft.irfft(np.moveaxis(stack, 0, 2), n=n3, axis=2))
+    """The real (n1, n2, n3) tensor whose half spectrum is the (h, n1, n2) `stack`,
+    written by the inverse real FFT straight into C order; the imaginary parts
+    of the self-conjugate slices are ignored."""
+    out = np.empty((*stack.shape[1:], n3))
+    return np.fft.irfft(np.moveaxis(stack, 0, 2), n=n3, axis=2, out=out)
 
 
 def real_slices(n3):
@@ -135,13 +137,19 @@ def _ct(a):
 def _certified(a, uk, tau):
     """Whether, for each matrix of the batch a, the spectral norm of
     w = (I - uk uk^H) a is below tau, by its upper bound ||(w^H w)^4||_F^(1/8).
-    It bounds the norm of what the triplets leave out, w (I - vk vk^H)."""
+    It bounds the norm of what the triplets leave out, w (I - vk vk^H). The
+    bounds for p = 1 and 2 of ||(w^H w)^p||_F^(1/2p), a Schatten norm, never
+    smaller, decide first, so each power is formed only for undecided slices."""
     w = a - uk @ (_ct(uk) @ a)
     g = _ct(w) @ w if w.shape[1] >= w.shape[2] else w @ _ct(w)
     g /= tau * tau
-    for _ in range(2):
+    ok = fits = np.linalg.norm(g, axis=(1, 2)) < 1.0
+    left = np.arange(len(g))
+    for _ in range(2):  # p = 2, then 4; g shrinks to the undecided slices, left
+        left, g = left[~fits], g[~fits]
         g = g @ g
-    return np.linalg.norm(g, axis=(1, 2)) < 1.0
+        ok[left] = fits = np.linalg.norm(g, axis=(1, 2)) < 1.0
+    return ok
 
 
 def _subspace_svd(a, v, tau):
@@ -251,4 +259,6 @@ def l1_norm(a):
 
 
 def linf_norm(a):
-    return float(np.max(np.abs(a), initial=0.0))
+    """Largest |entry|: +0.0 if none, NaN if any is NaN; real arrays by their extremes."""
+    a = np.abs(a) if np.iscomplexobj(a) else np.asarray(a)
+    return float(np.maximum(abs(a.max(initial=0.0)), abs(a.min(initial=0.0))))

@@ -94,25 +94,28 @@ def solve(x, cfg=None):
     e_cur = np.zeros_like(x)
     dual = np.zeros_like(x)
     shift = np.zeros_like(x)  # dual / mu
+    buf = np.empty_like(x)  # scratch: each prox's argument, then the gap
     history = []
     mu = MU0
     warm = WarmStart()
 
     for iters in range(1, cfg.max_iters + 1):
-        l_new = tsvt(x - e_cur - shift, 1.0 / mu, warm)
-        e_new = soft_threshold(x - l_new - shift, lam / mu)
-        gap = l_new + e_new - x
-        dl = linf_norm(l_new - l_cur)
-        de = linf_norm(e_new - e_cur)
+        np.subtract(x, e_cur, out=buf)
+        l_new = tsvt(np.subtract(buf, shift, out=buf), 1.0 / mu, warm)  # x - e_cur - shift
+        np.subtract(x, l_new, out=buf)
+        e_new = soft_threshold(np.subtract(buf, shift, out=buf), lam / mu)  # x - l_new - shift
+        gap = np.subtract(np.add(l_new, e_new, out=buf), x, out=buf)  # l_new + e_new - x
+        dl = linf_norm(np.subtract(l_new, l_cur, out=l_cur))  # into the spent iterates
+        de = linf_norm(np.subtract(e_new, e_cur, out=e_cur))
         dfit = linf_norm(gap)
         history.append(max(dl, de, dfit))
         l_cur, e_cur = l_new, e_new
         converged = dl <= cfg.eps and de <= cfg.eps and dfit <= cfg.eps
         if converged:
             break
-        dual += mu * gap
+        dual += np.multiply(gap, mu, out=gap)  # mu * gap
         mu = min(mu * RHO, MU_MAX)
-        shift = np.divide(dual, mu, out=gap)  # gap's memory: one array fewer live in tsvt
+        np.divide(dual, mu, out=shift)
 
     return Solution(
         l_hat=l_cur,

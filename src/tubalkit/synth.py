@@ -100,6 +100,8 @@ def phase_grid(n, n3, r_fracs, rho_ss, trials, success_tol=1e-3, seed=0):
     for r_frac, r in zip(r_fracs, ranks):
         if not 1 <= r <= n:  # NaN included
             raise RankOutOfRange(f"r_frac {r_frac} rounds to rank {r:g}, outside [1, {n}]")
+    if not all(0.0 <= float(rho_s) <= 1.0 for rho_s in rho_ss):  # NaN included
+        raise CountOutOfRange(f"every rate must lie in [0, 1], got {rho_ss}")
     children = np.random.SeedSequence(seed).spawn(len(r_fracs) * len(rho_ss) * trials)
     grid = []
     for i, (r_frac, r) in enumerate(zip(r_fracs, ranks)):

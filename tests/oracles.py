@@ -4,8 +4,11 @@
 block diagonal matrices of the t-product definition; they cost O(n3^2) memory.
 ``dft3`` and ``idft3`` are the full mode-3 DFT and its inverse. The library
 itself works on the real-FFT half spectrum instead (``tubalkit.core``); these
-exist only as oracles to check it against. ``SvdCounter`` spies on
-``np.linalg.svd`` to check how many matrix SVDs a call costs.
+exist only as oracles to check it against, as do ``half_spectrum_by_copy`` and
+``from_half_spectrum_by_copy``, the real FFT through a transposed copy, and
+``certified_by_fourth_power``, the partial SVD's certificate as one bound.
+``SvdCounter`` spies on ``np.linalg.svd`` to check how many matrix SVDs a call
+costs.
 """
 
 import numpy as np
@@ -52,6 +55,30 @@ def idft3(abar, tol=IMAG_TOL):
             "input is not the spectrum of a real tensor"
         )
     return np.ascontiguousarray(z.real)
+
+
+def half_spectrum_by_copy(a):
+    """Fourier slices 0..n3 // 2 of a real tensor: rfft, then a contiguous copy
+    of its (h, n1, n2) transpose."""
+    return np.ascontiguousarray(np.moveaxis(np.fft.rfft(a, axis=2), 2, 0))
+
+
+def from_half_spectrum_by_copy(stack, n3):
+    """The inverse real FFT of an (h, n1, n2) half spectrum, copied to C order."""
+    return np.ascontiguousarray(np.fft.irfft(np.moveaxis(stack, 0, 2), n=n3, axis=2))
+
+
+def certified_by_fourth_power(a, uk, tau):
+    """For each matrix of the batch a: whether ||(g / tau^2)^4||_F < 1 for the
+    smaller Gram matrix g of w = (I - uk uk^H) a, which bounds ||w||_2 < tau."""
+    ukh = np.conj(np.swapaxes(uk, -1, -2))
+    w = a - uk @ (ukh @ a)
+    wh = np.conj(np.swapaxes(w, -1, -2))
+    g = wh @ w if w.shape[1] >= w.shape[2] else w @ wh
+    g /= tau * tau
+    for _ in range(2):
+        g = g @ g
+    return np.linalg.norm(g, axis=(1, 2)) < 1.0
 
 
 def bcirc(a):

@@ -309,6 +309,15 @@ def phase(*extra):
     ]
 
 
+def phase_rate_above_one(tmp_path, monkeypatch):
+    # The bad rate follows a good one; it must be rejected before any solve.
+    def solve(*args, **kwargs):
+        raise AssertionError("phase_grid solved before checking every rate")
+
+    monkeypatch.setattr("tubalkit.synth.solve", solve)
+    return phase("--rho-grid", "0.1:0.7:1.5")(tmp_path, monkeypatch)
+
+
 def image_corrupt_out_of_range(tmp_path, monkeypatch):
     argv = black_image(tmp_path, monkeypatch)
     return argv + ["--corrupt", "2"]
@@ -327,6 +336,7 @@ def image_corrupt_out_of_range(tmp_path, monkeypatch):
     pytest.param(phase("--success-tol=-1"), 64, id="negative-success-tol"),
     pytest.param(phase("--r-grid=-0.5:0.1:-0.4"), 64, id="phase-negative-rank-fraction"),
     pytest.param(phase("--r-grid", "0:0.01:0.02"), 64, id="phase-rank-fraction-rounds-to-zero"),
+    pytest.param(phase_rate_above_one, 64, id="phase-rate-above-one"),
     pytest.param(image_corrupt_out_of_range, 64, id="corrupt-above-one"),
     pytest.param(report_in_missing_dir, 1, id="report-in-missing-dir"),
     pytest.param(nan_tensor, 1, id="nan-payload"),

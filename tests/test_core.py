@@ -4,22 +4,45 @@ and the package layering around the half-spectrum kernel."""
 import ast
 import dataclasses
 import inspect
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tubalkit
 from tubalkit import core
 from tubalkit.algebra import tprod
-from tubalkit.core import WarmStart, fro_norm, half_spectrum, half_svt, inner, l1_norm, linf_norm
+from tubalkit.core import (
+    WarmStart,
+    fro_norm,
+    from_half_spectrum,
+    half_spectrum,
+    half_svt,
+    inner,
+    l1_norm,
+    linf_norm,
+)
 from tubalkit.errors import ShapeMismatch
 from tubalkit.norms import spectral_norm, tnn
 from tubalkit.prox import soft_threshold, tsvt
 from tubalkit.solver import SolverConfig, solve
 from tubalkit.synth import gen_low_tubal_rank
 
-from oracles import SymmetryViolation, bcirc, bdiag, dft3, fold, idft3, unfold
+from oracles import (
+    SymmetryViolation,
+    bcirc,
+    bdiag,
+    certified_by_fourth_power,
+    dft3,
+    fold,
+    from_half_spectrum_by_copy,
+    half_spectrum_by_copy,
+    idft3,
+    unfold,
+)
 
 
 def brute_dft(v):
@@ -102,6 +125,32 @@ def test_parseval_transfer():
         lhs = fro_norm(a)
         rhs = np.linalg.norm(dft3(a).ravel()) / np.sqrt(n3)
         assert abs(lhs - rhs) <= 1e-10 * rhs
+
+
+# ── the real-FFT half-spectrum kernel ────────────────────────────────────────
+
+
+def tensor_in_layout(shape, layout, rng):
+    """A random real tensor of the given shape, stored in C order, in Fortran
+    order, or as a transposed view of a C-ordered array."""
+    if layout == "transposed":
+        return rng.normal(size=shape[::-1]).transpose(2, 1, 0)
+    return np.asarray(rng.normal(size=shape), order=layout)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "transposed"])
+@pytest.mark.parametrize("n3", [1, 2, 3, 8, 401])
+def test_half_spectrum_is_the_transposed_copy_written_in_place(n3, layout):
+    rng = np.random.default_rng(n3)
+    a = tensor_in_layout((4, 5, n3), layout, rng)
+    stack = half_spectrum(a)
+    assert stack.shape == (n3 // 2 + 1, 4, 5) and stack.flags.c_contiguous
+    assert stack.tobytes() == half_spectrum_by_copy(a).tobytes()
+    # The inverse, of a C-ordered stack and of a transposed view of one.
+    for s in (stack, np.ascontiguousarray(stack.transpose(0, 2, 1)).transpose(0, 2, 1)):
+        back = from_half_spectrum(s, n3)
+        assert back.shape == a.shape and back.flags.c_contiguous
+        assert back.tobytes() == from_half_spectrum_by_copy(s, n3).tobytes()
 
 
 # ── bcirc / bdiag / unfold / fold ────────────────────────────────────────────
@@ -208,7 +257,101 @@ def test_l1_linf():
     assert linf_norm(np.zeros((0, 3, 2))) == 0.0
 
 
+@pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+def test_linf_norm_propagates_nan(where):
+    # The solver stops when each change's linf_norm is at most eps; a NaN it
+    # dropped would let a diverged solve report converged=True.
+    a = np.arange(-6.0, 6.0).reshape(2, 3, 2)
+    a.ravel()[where] = np.nan
+    assert np.isnan(linf_norm(a))
+    assert np.isnan(linf_norm(np.full((1, 1, 1), np.nan)))
+    z = np.array([1 + 1j, 3 - 4j])
+    z[where] = complex(np.nan, 0.0)
+    assert np.isnan(linf_norm(z))
+
+
+@pytest.mark.parametrize("a", [np.zeros((2, 3, 2)), np.full((2, 2, 1), -0.0), np.zeros((0, 3, 2)),
+                               np.zeros(0, dtype=complex)], ids=["zeros", "negative-zeros", "empty",
+                                                                 "empty-complex"])
+def test_linf_norm_of_nothing_is_positive_zero(a):
+    assert math.copysign(1.0, linf_norm(a)) == 1.0 and linf_norm(a) == 0.0
+
+
+def test_linf_norm_of_complex_and_integer_entries():
+    assert linf_norm(np.array([[1 - 1j], [3 + 4j], [-2.0 + 0j]])) == 5.0
+    assert linf_norm([2, -7, 5]) == 7.0
+
+
 # ── singular value thresholding kernel ───────────────────────────────────────
+
+
+def certificate_batch(n1, n2, dtype, rng):
+    """A batch a of four matrices with two orthonormal columns uk each, and the
+    singular values of each residual (I - uk uk^H) a: one value (the bounds for
+    p = 1, 2, 4 coincide), eight equal ones (they lie far apart), a geometric
+    decay, and none."""
+    k = min(n1, n2)
+    profiles = [np.eye(1, k - 2)[0], np.ones(k - 2), 0.5 ** np.arange(k - 2), np.zeros(k - 2)]
+
+    def orthonormal(n):
+        m = rng.normal(size=(len(profiles), n, k))
+        return np.linalg.qr(m + 1j * rng.normal(size=m.shape) if dtype is complex else m)[0]
+
+    u, v = orthonormal(n1), orthonormal(n2)
+    s = np.array([[10.0, 9.0, *p] for p in profiles])
+    a = (u * s[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
+    return a, u[:, :, :2], np.array(profiles)
+
+
+def schatten_bounds(sv):
+    """||(w^H w)^p||_F^(1/2p) for p = 1, 2, 4 from the singular values of w, one row per p."""
+    return np.array([np.sum(sv ** (4 * p), axis=-1) ** (1 / (4 * p)) for p in (1, 2, 4)])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n1, n2", [(12, 10), (10, 12)], ids=["tall", "wide"])
+def test_tiered_certificate_decides_as_the_fourth_power_bound(monkeypatch, n1, n2, dtype):
+    a, uk, sv = certificate_batch(n1, n2, dtype, np.random.default_rng(n1))
+    assert np.iscomplexobj(a) == (dtype is complex)
+    bounds = schatten_bounds(sv)
+    # Every bound of the three nonzero residuals, approached from both sides.
+    taus = [b * f for b in bounds[:, :3].ravel() for f in (1 - 1e-6, 1 + 1e-6)]
+    # Between them the flat residual is decided by p = 1, 2, 4 and by none.
+    assert {next((p for p in range(3) if bounds[p, 1] < tau), 3) for tau in taus} == {0, 1, 2, 3}
+    # Each call records the batch sizes whose Gram powers it tests: every
+    # slice at p = 1, and at p = 2 and 4 only those still undecided.
+    tested = []
+    norm = np.linalg.norm
+
+    def counted(x, *args, **kwargs):
+        tested.append(len(x))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    for tau in taus:
+        tested.clear()
+        ok = core._certified(a, uk, tau)
+        assert tested == [len(a), *(int(np.sum(bounds[p] >= tau)) for p in range(2))], tau
+        assert np.array_equal(ok, certified_by_fourth_power(a, uk, tau)), tau
+        assert np.array_equal(ok, bounds[2] < tau), tau
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(n1=st.integers(2, 6), n2=st.integers(1, 6), batch=st.integers(1, 4), k=st.integers(0, 3),
+       complex_=st.booleans(), seed=st.integers(0, 2**32 - 1), tier=st.sampled_from([0, 1, 2]),
+       nudge=st.sampled_from([-1e-6, 1e-6, -0.5, 1.0]))
+def test_tiered_certificate_property(n1, n2, batch, k, complex_, seed, tier, nudge):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(batch, n1, n2))
+    m = rng.normal(size=(batch, n1, min(k, n1 - 1)))
+    if complex_:
+        a, m = a + 1j * rng.normal(size=a.shape), m + 1j * rng.normal(size=m.shape)
+    uk = np.linalg.qr(m)[0]
+    w = a - uk @ (np.conj(np.swapaxes(uk, 1, 2)) @ a)
+    # tau near the first slice's bound for p = 1, 2 or 4, or far from it.
+    bound = schatten_bounds(np.linalg.svd(w, compute_uv=False))[tier, 0]
+    tau = bound * (1 + nudge) if bound > 1e-8 * fro_norm(a) else 1.0
+    assert np.array_equal(core._certified(a, uk, tau), certified_by_fourth_power(a, uk, tau))
 
 
 @pytest.mark.parametrize("n3", [1, 2, 5, 6])

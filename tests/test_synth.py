@@ -139,3 +139,10 @@ def test_phase_grid_validation(monkeypatch):
     for r_frac in (0.05, 1.04):
         with pytest.raises(Solved):
             phase_grid(10, 3, [r_frac], [0.1], trials=1, seed=0)
+    # So must every sparsity rate lie in [0, 1], before the first solve.
+    for rho_s in (1.5, -0.1, np.nan, np.inf):
+        with pytest.raises(CountOutOfRange):
+            phase_grid(10, 2, [0.1, 0.2], [0.1, rho_s], trials=1, seed=0)
+    for rho_s in (0.0, 1.0):
+        with pytest.raises(Solved):
+            phase_grid(10, 2, [0.1], [rho_s], trials=1, seed=0)
