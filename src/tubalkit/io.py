@@ -43,11 +43,10 @@ def write_tensor(path, a):
     if np.ndim(a) == 3:
         _check_dims(path, np.shape(a))
     a = as_tensor3(a)
-    payload = np.ascontiguousarray(a.transpose(2, 0, 1)).astype("<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<III", *a.shape))
-        fh.write(payload)
+        fh.write(np.ascontiguousarray(a.transpose(2, 0, 1), dtype="<f8"))
 
 
 def read_tensor(path):

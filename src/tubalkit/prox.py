@@ -22,7 +22,9 @@ def soft_threshold(x, kappa):
     if np.iscomplexobj(x):
         raise TypeError("expected a real array, got complex input")
     x = np.asarray(x, dtype=np.float64)
-    return x - np.clip(x, -kappa, kappa)
+    out = np.clip(x, -kappa, kappa, out=np.empty_like(x))
+    np.subtract(x, out, out=out)
+    return out if out.ndim else out[()]  # a scalar for a rank-0 input, as a ufunc returns
 
 
 def tsvt(y, tau, warm=None):

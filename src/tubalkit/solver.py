@@ -3,17 +3,17 @@
 Solves  min ||L||_tnn + lambda * ||E||_1  subject to  X = L + E.
 
 Each iteration of the paper's Algorithm 1 takes one tensor singular value
-thresholding step for the low-rank part, one elementwise soft-threshold for the
-sparse part and a dual ascent step, then sets mu to min(RHO * mu, MU_MAX); that
-schedule, from mu = MU0, is fixed as in the paper. The thresholding step hands
-``core.half_svt`` one ``core.WarmStart`` for the whole solve: the iterates
-change slowly and keep few singular values, so a slice's leading triplets
-usually come from a certified partial SVD started from the previous
-iteration's, within ~1e-12 of the exact step; any other slice is thresholded
-exactly, from the full SVD. The iteration stops when the successive changes of
-both primal blocks and the feasibility gap are all below eps in max norm.
-Non-convergence is a reported outcome, not an exception: phase-transition
-experiments need failed cells as data points.
+thresholding step for L, one elementwise soft-threshold for E and a step of the
+scaled dual Y/mu, the only form in which the dual Y enters:
+Y'/mu' = (Y/mu + L' + E' - X) * mu/mu' with mu' = min(RHO * mu, MU_MAX), a
+schedule from mu = MU0 fixed as in the paper. Thresholding hands
+``core.half_svt`` one ``core.WarmStart`` per solve: the iterates change slowly
+and keep few singular values, so a slice's leading triplets usually come from a
+certified partial SVD started from the previous iteration's, within ~1e-12 of
+the exact step; any other slice is thresholded exactly, from the full SVD. It
+stops when the successive changes of L and E and the feasibility gap are all
+below eps in max norm. Non-convergence is a reported outcome, not an exception:
+phase-transition experiments need failed cells as data points.
 """
 
 import math
@@ -92,8 +92,7 @@ def solve(x, cfg=None):
 
     l_cur = np.zeros_like(x)
     e_cur = np.zeros_like(x)
-    dual = np.zeros_like(x)
-    shift = np.zeros_like(x)  # dual / mu
+    shift = np.zeros_like(x)  # the scaled dual Y / mu
     buf = np.empty_like(x)  # scratch: each prox's argument, then the gap
     history = []
     mu = MU0
@@ -113,9 +112,9 @@ def solve(x, cfg=None):
         converged = dl <= cfg.eps and de <= cfg.eps and dfit <= cfg.eps
         if converged:
             break
-        dual += np.multiply(gap, mu, out=gap)  # mu * gap
-        mu = min(mu * RHO, MU_MAX)
-        np.divide(dual, mu, out=shift)
+        shift += gap
+        mu_prev, mu = mu, min(mu * RHO, MU_MAX)
+        shift *= mu_prev / mu
 
     return Solution(
         l_hat=l_cur,

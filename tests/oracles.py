@@ -6,15 +6,20 @@ block diagonal matrices of the t-product definition; they cost O(n3^2) memory.
 itself works on the real-FFT half spectrum instead (``tubalkit.core``); these
 exist only as oracles to check it against, as do ``half_spectrum_by_copy`` and
 ``from_half_spectrum_by_copy``, the real FFT through a transposed copy, and
-``certified_by_fourth_power``, the partial SVD's certificate as one bound.
+``certified_by_fourth_power``, the partial SVD's certificate as one bound,
+and ``admm_keeping_dual``, Algorithm 1 with the unscaled dual Y.
 ``SvdCounter`` spies on ``np.linalg.svd`` to check how many matrix SVDs a call
-costs.
+costs, and ``traced_peak`` measures the memory a call holds at its peak.
 """
+
+import tracemalloc
 
 import numpy as np
 
-from tubalkit.core import as_tensor3
+from tubalkit.core import WarmStart, as_tensor3
 from tubalkit.errors import ShapeMismatch
+from tubalkit.prox import soft_threshold, tsvt
+from tubalkit.solver import MU0, MU_MAX, RHO
 
 # Residual imaginary mass below this (relative) is FFT rounding noise and is
 # discarded; above it the caller built an invalid Fourier tensor.
@@ -79,6 +84,39 @@ def certified_by_fourth_power(a, uk, tau):
     for _ in range(2):
         g = g @ g
     return np.linalg.norm(g, axis=(1, 2)) < 1.0
+
+
+def admm_keeping_dual(x, lam, eps=1e-8, max_iters=500):
+    """Algorithm 1 as the paper writes it, keeping Y and subtracting Y / mu from
+    both prox arguments, with the solver's mu schedule and stopping rule and a
+    WarmStart of its own. Returns (L, E, iterations, certified, fallbacks)."""
+    warm = WarmStart()
+    low, sparse, dual = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+    mu = MU0
+    for iters in range(1, max_iters + 1):
+        low_new = tsvt(x - sparse - dual / mu, 1.0 / mu, warm)
+        sparse_new = soft_threshold(x - low_new - dual / mu, lam / mu)
+        gap = low_new + sparse_new - x
+        done = max(np.max(np.abs(low_new - low)), np.max(np.abs(sparse_new - sparse)),
+                   np.max(np.abs(gap))) <= eps
+        low, sparse = low_new, sparse_new
+        if done:
+            break
+        dual = dual + mu * gap
+        mu = min(mu * RHO, MU_MAX)
+    return low, sparse, iters, warm.certified, warm.fallbacks
+
+
+def traced_peak(call):
+    """The bytes that call() holds at its tracemalloc peak beyond what was
+    allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def bcirc(a):

@@ -23,6 +23,8 @@ from tubalkit.errors import (
     ZeroReference,
 )
 
+from oracles import traced_peak
+
 
 # ── T3F1 tensor files ────────────────────────────────────────────────────────
 
@@ -48,6 +50,14 @@ def test_tensor_layout_is_slice_slowest(tmp_path):
     # slice 0 row-major, then slice 1
     assert np.array_equal(values[:6], a[:, :, 0].ravel())
     assert np.array_equal(values[6:], a[:, :, 1].ravel())
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_write_copies_the_payload_once(tmp_path, order):
+    a = np.asarray(np.random.default_rng(1).normal(size=(60, 50, 40)), order=order)
+    path = tmp_path / "a.t3f"
+    assert traced_peak(lambda: io.write_tensor(path, a)) <= 1.1 * a.nbytes
+    assert path.read_bytes()[16:] == np.ascontiguousarray(a.transpose(2, 0, 1)).tobytes()
 
 
 def test_bad_magic(tmp_path):

@@ -16,6 +16,8 @@ from tubalkit.norms import check_subgradient, spectral_norm, tnn
 from tubalkit.prox import soft_threshold, tsvt
 from tubalkit.synth import gen_low_tubal_rank, gen_sparse_bernoulli
 
+from oracles import traced_peak
+
 
 def svt_objective(x, y, tau):
     return tau * tnn(x) + 0.5 * fro_norm(x - y) ** 2
@@ -65,6 +67,19 @@ def test_soft_threshold_zeros_are_positive():
         out = soft_threshold(x, kappa)
         assert np.array_equal(out, np.sign(x) * np.maximum(np.abs(x) - kappa, 0.0), equal_nan=True)
         assert not np.any(np.signbit(out) & (out == 0.0))
+
+
+def test_soft_threshold_allocates_only_its_output():
+    x = np.random.default_rng(6).normal(size=(50, 40, 30))
+    assert traced_peak(lambda: soft_threshold(x, 0.5)) <= 1.1 * x.nbytes
+
+
+def test_soft_threshold_of_scalars_and_lists():
+    for value, kappa in ((0.7, 0.5), (-2.0, 0.5), (0.3, 0.5), (-0.0, 0.0)):
+        out = soft_threshold(value, kappa)
+        assert isinstance(out, float) and out == np.sign(value) * max(abs(value) - kappa, 0.0)
+        assert soft_threshold(np.asarray(value), kappa) == out
+    assert np.array_equal(soft_threshold([[2.0, -0.5], [-3.0, 1.0]], 1.0), [[1.0, 0.0], [-2.0, 0.0]])
 
 
 # ── tsvt ─────────────────────────────────────────────────────────────────────

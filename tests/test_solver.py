@@ -11,6 +11,8 @@ from tubalkit.decomposition import tubal_rank
 from tubalkit.solver import Solution, SolverConfig, default_lambda, solve
 from tubalkit.synth import gen_low_tubal_rank, gen_sparse_bernoulli
 
+from oracles import admm_keeping_dual, traced_peak
+
 
 def matrix_rpca_admm(x, lam, rho=1.1, mu0=1e-3, mu_max=1e10, eps=1e-8, max_iters=500):
     """Independently coded matrix-only ADMM used as the reduction oracle."""
@@ -211,3 +213,40 @@ def test_failed_certificates_reproduce_the_exact_path(monkeypatch):
     assert sol.iters == exact.iters
     assert sol.l_hat.tobytes() == exact.l_hat.tobytes()
     assert sol.e_hat.tobytes() == exact.e_hat.tobytes()
+
+
+# ── the scaled dual ──────────────────────────────────────────────────────────
+
+
+def single_slice_instance():
+    l0 = gen_low_tubal_rank(40, 40, 1, 2, seed=14)
+    return l0, l0 + gen_sparse_bernoulli(40, 40, 1, 0.05, "rho", seed=15)
+
+
+def exact_path_instance():
+    # A kept rank of 3 on 30x30 slices keeps the partial path shut.
+    l0 = gen_low_tubal_rank(30, 30, 7, 3, seed=16)
+    return l0, l0 + gen_sparse_bernoulli(30, 30, 7, 0.05, "rho", seed=17)
+
+
+@pytest.mark.parametrize("max_iters", [500, 20], ids=["converged", "cut"])
+@pytest.mark.parametrize("instance", [partial_svd_instance, single_slice_instance],
+                         ids=["partial", "single_slice"])
+def test_scaled_dual_matches_algorithm1_keeping_y(instance, max_iters):
+    # Carrying Y / mu alone reassociates the dual step and nothing else.
+    _, x = instance()
+    sol = solve(x, SolverConfig(max_iters=max_iters))
+    low, sparse, iters, certified, fallbacks = admm_keeping_dual(x, sol.lam, max_iters=max_iters)
+    assert sol.converged == (max_iters == 500)
+    assert (sol.iters, sol.svd_certified, sol.svd_fallbacks) == (iters, certified, fallbacks)
+    assert fro_norm(sol.l_hat - low) <= 1e-12 * fro_norm(low)
+    assert fro_norm(sol.e_hat - sparse) <= 1e-12 * fro_norm(sparse)
+
+
+@pytest.mark.parametrize("instance, sizes", [(partial_svd_instance, 9.25), (exact_path_instance, 9.0)],
+                         ids=["partial", "exact"])
+def test_solve_holds_one_dual_tensor(instance, sizes):
+    # L, E, Y / mu and one scratch tensor live through the solve; an unscaled
+    # dual beside them would lift either peak by one tensor size.
+    _, x = instance()
+    assert traced_peak(lambda: solve(x)) <= sizes * x.nbytes
