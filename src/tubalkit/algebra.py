@@ -6,6 +6,8 @@ computed as per-slice matrix products of the two real-FFT half spectra,
 followed by the inverse real FFT.
 """
 
+import numbers
+
 import numpy as np
 
 from .core import as_tensor3, from_half_spectrum, half_matmul, half_spectrum
@@ -31,8 +33,8 @@ def ctranspose(a):
 
 def identity_tensor(n, n3):
     """n x n x n3 tensor whose slice 0 is the identity, other slices zero."""
-    if n < 1 or n3 < 1:
-        raise ShapeMismatch(f"identity tensor needs positive dims, got ({n}, {n3})")
+    if not all(isinstance(d, numbers.Integral) for d in (n, n3)) or n < 1 or n3 < 1:
+        raise ShapeMismatch(f"identity tensor needs positive integer dims, got ({n}, {n3})")
     out = np.zeros((n, n, n3))
     out[:, :, 0] = np.eye(n)
     return out

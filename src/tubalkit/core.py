@@ -16,6 +16,13 @@ bit for bit. ``half_svt``, the singular value thresholding behind every
 ``tsvt``, does too, and overwrites the stack it is given. It alone decides
 when a slice may take a certified partial SVD, started from a
 ``WarmStart``'s vectors, and thresholds every other slice exactly.
+
+The kernels take the slices from ``_batches``: the real ones as one batch,
+the complex ones in contiguous blocks of at most BLOCK_BYTES, so their
+temporaries stay block-sized however long the spectrum is. No slice's result
+depends on the slices batched with it: the partial SVD stops each slice at the
+first step whose triplets fit, so the outputs are the same bytes for any block
+size.
 """
 
 from dataclasses import dataclass
@@ -43,11 +50,12 @@ def half_spectrum(a):
     return out
 
 
-def from_half_spectrum(stack, n3):
+def from_half_spectrum(stack, n3, out=None):
     """The real (n1, n2, n3) tensor whose half spectrum is the (h, n1, n2) `stack`,
-    written by the inverse real FFT straight into C order; the imaginary parts
-    of the self-conjugate slices are ignored."""
-    out = np.empty((*stack.shape[1:], n3))
+    written by the inverse real FFT straight into C order, into `out` if given;
+    the imaginary parts of the self-conjugate slices are ignored."""
+    if out is None:
+        out = np.empty((*stack.shape[1:], n3))
     return np.fft.irfft(np.moveaxis(stack, 0, 2), n=n3, axis=2, out=out)
 
 
@@ -71,16 +79,31 @@ def half_weights(n3):
 def half_matmul(a, b, n3):
     """Slice-wise a @ b of two half-spectrum stacks; real slices in real arithmetic."""
     out = np.empty((a.shape[0], a.shape[1], b.shape[2]), dtype=np.complex128)
-    for (pos, x), (_, y) in zip(_batches(a, n3), _batches(b, n3)):
+    for pos, x, y in _batches(n3, a, b):
         out[pos] = x @ y
     return out
 
 
-def _batches(stack, n3):
-    """(positions, slices) of the half spectrum in two batches: the real slices
-    as real arrays, then the complex ones, a view. Empty batches are left out."""
+# Bytes of spectrum in one block of complex slices; the kernels below hold a
+# few blocks of temporaries at a time. On the 100x100x100 criterion-1 solve
+# (2 vCPUs, OpenBLAS 2 threads) blocks of 256 KiB, 512 KiB, 1 MiB and 2 MiB
+# peaked at 5.28, 5.36, 5.53 and 5.95 tensor sizes, and 512 KiB to 2 MiB took
+# the same time within the 7-10 s spread of one solve. The nine complex slices
+# of a 50x50x20 solve (0.36 MB) stay in one block.
+BLOCK_BYTES = 1 << 19
+
+
+def _batches(n3, *stacks):
+    """(positions, the slices of each stack there) over the half spectrum, the
+    one place that splits it: the real slices as one batch of real arrays, then
+    the complex ones in contiguous blocks, views, of at most BLOCK_BYTES of the
+    widest stack's slices (one slice at least)."""
     real, cx = real_slices(n3), complex_slices(n3)
-    return [(pos, part) for pos, part in ((real, stack[real].real), (cx, stack[cx])) if len(part)]
+    yield real, *(s[real].real for s in stacks)
+    step = max(1, BLOCK_BYTES // max(1, *(s[0].nbytes for s in stacks)))
+    for start in range(cx.start, cx.stop, step):
+        pos = slice(start, min(start + step, cx.stop))
+        yield pos, *(s[pos] for s in stacks)
 
 
 def _svd(a, **kwargs):
@@ -101,7 +124,7 @@ def half_svd(stack, n3, full_matrices=False, compute_uv=True):
     if compute_uv:
         u = np.empty((h, n1, n1 if full_matrices else k), dtype=np.complex128)
         vh = np.empty((h, n2 if full_matrices else k, n2), dtype=np.complex128)
-    for pos, part in _batches(stack, n3):
+    for pos, part in _batches(n3, stack):
         if compute_uv:
             u[pos], s[pos], vh[pos] = _svd(part, full_matrices=full_matrices)
         else:
@@ -134,14 +157,22 @@ def _ct(a):
     return np.conj(np.swapaxes(a, -1, -2))
 
 
+def _gram(w):
+    """w^H w, or w w^H for a wide w, of each matrix of the batch w, formed one
+    matrix at a time: the conjugate copy it takes is one matrix, not the batch."""
+    g = np.empty((len(w), *[min(w.shape[1:])] * 2), dtype=w.dtype)
+    for x, gx in zip(w, g):
+        np.matmul(*((_ct(x), x) if x.shape[0] >= x.shape[1] else (x, _ct(x))), out=gx)
+    return g
+
+
 def _certified(a, uk, tau):
     """Whether, for each matrix of the batch a, the spectral norm of
     w = (I - uk uk^H) a is below tau, by its upper bound ||(w^H w)^4||_F^(1/8).
     It bounds the norm of what the triplets leave out, w (I - vk vk^H). The
     bounds for p = 1 and 2 of ||(w^H w)^p||_F^(1/2p), a Schatten norm, never
     smaller, decide first, so each power is formed only for undecided slices."""
-    w = a - uk @ (_ct(uk) @ a)
-    g = _ct(w) @ w if w.shape[1] >= w.shape[2] else w @ _ct(w)
+    g = _gram(a - uk @ (_ct(uk) @ a))
     g /= tau * tau
     ok = fits = np.linalg.norm(g, axis=(1, 2)) < 1.0
     left = np.arange(len(g))
@@ -154,21 +185,34 @@ def _certified(a, uk, tau):
 
 def _subspace_svd(a, v, tau):
     """Top singular triplets of each matrix of the batch a by subspace
-    iteration from the columns v; returns (u, s, vh, certified)."""
+    iteration from the columns v; returns (u, s, vh, certified). A matrix stops
+    at the first step whose triplets fit and keeps them, so its result does not
+    depend on the rest of the batch."""
+    # Contiguous, as the active subsets below are, so that a matrix meets the
+    # same layouts in a batch and alone; the real slices arrive strided.
+    a, v = np.ascontiguousarray(a), np.ascontiguousarray(v)
+    (m, n1, n2), l = a.shape, v.shape[2]
+    u, s = np.empty((m, n1, l), dtype=np.result_type(a, v)), np.empty((m, l))
+    vh, fits = np.empty((m, l, n2), dtype=u.dtype), np.zeros(m, dtype=bool)
     scale = np.linalg.norm(a, axis=(1, 2))
+    act, b = np.arange(m), a  # the matrices still stepping
     y = a @ v
     for _ in range(PARTIAL_SVD_STEPS):
         q = np.linalg.qr(y)[0]
-        v, r = np.linalg.qr(_ct(_ct(q) @ a))
-        # a^H q = v r = (v ur) s wh, so a ~ q q^H a = (q wh^H) s (v ur)^H.
-        ur, s, wh = np.linalg.svd(r)
-        u, v = q @ _ct(wh), v @ ur
-        y = a @ v
-        kept = (s > tau)[:, None, :]
-        fits = np.linalg.norm((y - u * s[:, None, :]) * kept, axis=(1, 2)) <= PARTIAL_SVD_TOL * scale
-        if fits.all():
+        v, r = np.linalg.qr(_ct(_ct(q) @ b))
+        # b^H q = v r = (v ur) sb wh, so b ~ q q^H b = (q wh^H) sb (v ur)^H.
+        ur, sb, wh = np.linalg.svd(r)
+        ub, v = q @ _ct(wh), v @ ur
+        y = b @ v
+        kept = (sb > tau)[:, None, :]
+        fit = np.linalg.norm((y - ub * sb[:, None, :]) * kept, axis=(1, 2)) <= PARTIAL_SVD_TOL * scale[act]
+        u[act], s[act], vh[act], fits[act] = ub, sb, _ct(v), fit
+        if fit.all():
             break
-    return u, s, _ct(v), fits & _certified(a, u * kept, tau)
+        if fit.any():
+            act, b, y = act[~fit], b[~fit], y[~fit]
+    del b, y  # freed before the certificate's temporaries
+    return u, s, vh, fits & _certified(a, u * (s > tau)[:, None, :], tau)
 
 
 @dataclass
@@ -213,8 +257,10 @@ def half_svt(stack, n3, tau, warm=None):
         extra = np.random.default_rng(0).standard_normal((h, n2, l - basis.shape[2]))
         basis = np.concatenate([basis, extra], axis=2, dtype=np.complex128)
     l = basis.shape[2]
+    if warm is not None:  # the previous basis is freed now, this one filled batch by batch
+        warm.basis = basis
     rank = certified = 0
-    for pos, a in _batches(stack, n3):
+    for pos, a in _batches(n3, stack):
         idx, ok = np.arange(h)[pos], np.zeros(len(a), dtype=bool)
         if l:
             start = basis[pos] if np.iscomplexobj(a) else basis[pos].real
@@ -234,7 +280,7 @@ def half_svt(stack, n3, tau, warm=None):
             stack[pos], basis[pos] = u @ vh, _ct(vh[:, :l])
         del parts, u, s, vh  # freed before the next batch's iteration peaks
     if warm is not None:
-        warm.basis, warm.rank = basis, rank
+        warm.rank = rank
         if l:
             warm.certified += certified
             warm.fallbacks += h - certified

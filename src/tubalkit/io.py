@@ -8,6 +8,7 @@ row-major within each slice. Trailing bytes after the payload are ignored.
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -27,6 +28,11 @@ from .errors import (
 MAGIC = b"T3F1"
 # Caps header-driven allocation; 2^32 doubles is already 32 GiB.
 MAX_ELEMENTS = 1 << 32
+# read_tensor reads runs of whole frontal slices of at most this many bytes (one
+# slice at least). One slice per read took 1.1 s for a 1 x 1 x 10^6 file, whose
+# whole payload reads in 2 ms; 256 KiB runs keep the peak of reading a 64 MB
+# file at 1.005 payloads.
+READ_BYTES = 1 << 18
 
 
 def _check_dims(path, shape):
@@ -50,20 +56,29 @@ def write_tensor(path, a):
 
 
 def read_tensor(path):
-    """Parse a T3F1 file back into a tensor, rejecting malformed input."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != MAGIC:
-        raise BadMagic(f"{path}: not a T3F1 file")
-    if len(raw) < 16:
-        raise Truncated(f"{path}: header incomplete")
-    n1, n2, n3 = struct.unpack("<III", raw[4:16])
-    _check_dims(path, (n1, n2, n3))
-    count = n1 * n2 * n3
-    need = 16 + 8 * count
-    if len(raw) < need:
-        raise Truncated(f"{path}: expected {need} bytes, found {len(raw)}")
-    flat = np.frombuffer(raw, dtype="<f8", count=count, offset=16)
-    return np.ascontiguousarray(flat.reshape(n3, n1, n2).transpose(1, 2, 0))
+    """Parse a T3F1 file back into a tensor, rejecting malformed input. The
+    payload goes into the (n1, n2, n3) result a run of frontal slices at a
+    time, so the file is never held whole."""
+    with open(path, "rb") as fh:
+        head = fh.read(16)
+        if len(head) < 4 or head[:4] != MAGIC:
+            raise BadMagic(f"{path}: not a T3F1 file")
+        if len(head) < 16:
+            raise Truncated(f"{path}: header incomplete")
+        n1, n2, n3 = struct.unpack("<III", head[4:16])
+        _check_dims(path, (n1, n2, n3))
+        need, size = 16 + 8 * n1 * n2 * n3, os.fstat(fh.fileno()).st_size
+        if size < need:
+            raise Truncated(f"{path}: expected {need} bytes, found {size}")
+        out = np.empty((n1, n2, n3))
+        step = max(1, READ_BYTES // (8 * n1 * n2))
+        run = np.empty((min(step, n3), n1, n2), dtype="<f8")
+        for k in range(0, n3, step):
+            part = run[:n3 - k]
+            if fh.readinto(part) < part.nbytes:
+                raise Truncated(f"{path}: file shrank while being read")
+            out[:, :, k:k + len(part)] = part.transpose(1, 2, 0)
+    return out
 
 
 def image_to_tensor(ppm_bytes):

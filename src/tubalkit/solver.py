@@ -10,9 +10,12 @@ schedule from mu = MU0 fixed as in the paper. Thresholding hands
 ``core.half_svt`` one ``core.WarmStart`` per solve: the iterates change slowly
 and keep few singular values, so a slice's leading triplets usually come from a
 certified partial SVD started from the previous iteration's, within ~1e-12 of
-the exact step; any other slice is thresholded exactly, from the full SVD. It
-stops when the successive changes of L and E and the feasibility gap are all
-below eps in max norm. Non-convergence is a reported outcome, not an exception:
+the exact step; any other slice is thresholded exactly, from the full SVD. The
+loop holds four tensors: L, E, Y/mu and one scratch. Each prox writes its
+result over its argument, L's in the scratch and E's in the spent L, and the
+gap goes into the spent E, the next iteration's scratch. It stops when the
+successive changes of L and E and the feasibility gap are all below eps in max
+norm. Non-convergence is a reported outcome, not an exception:
 phase-transition experiments need failed cells as data points.
 """
 
@@ -93,22 +96,22 @@ def solve(x, cfg=None):
     l_cur = np.zeros_like(x)
     e_cur = np.zeros_like(x)
     shift = np.zeros_like(x)  # the scaled dual Y / mu
-    buf = np.empty_like(x)  # scratch: each prox's argument, then the gap
+    buf = np.empty_like(x)  # scratch: tsvt's argument, then L's next iterate
     history = []
     mu = MU0
     warm = WarmStart()
 
     for iters in range(1, cfg.max_iters + 1):
         np.subtract(x, e_cur, out=buf)
-        l_new = tsvt(np.subtract(buf, shift, out=buf), 1.0 / mu, warm)  # x - e_cur - shift
-        np.subtract(x, l_new, out=buf)
-        e_new = soft_threshold(np.subtract(buf, shift, out=buf), lam / mu)  # x - l_new - shift
-        gap = np.subtract(np.add(l_new, e_new, out=buf), x, out=buf)  # l_new + e_new - x
+        l_new = tsvt(np.subtract(buf, shift, out=buf), 1.0 / mu, warm, out=buf)  # x - e_cur - shift
         dl = linf_norm(np.subtract(l_new, l_cur, out=l_cur))  # into the spent iterates
+        np.subtract(x, l_new, out=l_cur)
+        e_new = soft_threshold(np.subtract(l_cur, shift, out=l_cur), lam / mu, out=l_cur)  # x - l_new - shift
         de = linf_norm(np.subtract(e_new, e_cur, out=e_cur))
+        gap = np.subtract(np.add(l_new, e_new, out=e_cur), x, out=e_cur)  # l_new + e_new - x
         dfit = linf_norm(gap)
         history.append(max(dl, de, dfit))
-        l_cur, e_cur = l_new, e_new
+        l_cur, e_cur, buf = l_new, e_new, gap
         converged = dl <= cfg.eps and de <= cfg.eps and dfit <= cfg.eps
         if converged:
             break

@@ -134,6 +134,13 @@ def test_identity_fro_norm():
     assert np.isclose(fro_norm(identity_tensor(4, 6)), 2.0)
 
 
+@pytest.mark.parametrize("n, n3", [(2.5, 3), (2, 1.5), (0, 3), (2, 0)],
+                         ids=["fractional-n", "fractional-n3", "zero-n", "zero-n3"])
+def test_identity_rejects_dims_that_are_not_positive_integers(n, n3):
+    with pytest.raises(ShapeMismatch):
+        identity_tensor(n, n3)
+
+
 # ── predicates ───────────────────────────────────────────────────────────────
 
 

@@ -41,6 +41,7 @@ from oracles import (
     from_half_spectrum_by_copy,
     half_spectrum_by_copy,
     idft3,
+    traced_peak,
     unfold,
 )
 
@@ -394,6 +395,65 @@ def test_half_svt_overwrites_and_returns_its_stack(n3, warm):
     out = half_svt(stack, n3, 1.0, WarmStart(rank=3) if warm else None)
     assert out is stack
     assert fro_norm(out - expected) <= 1e-10 * fro_norm(expected)
+
+
+def graded_batch(m, n, complex_, rng):
+    """m n x n matrices with three singular values above 5 and a tail whose
+    level grows from matrix to matrix, so that subspace iteration from eight
+    columns fits each of them after a different number of steps."""
+    def orthonormal():
+        g = rng.normal(size=(m, n, n))
+        return np.linalg.qr(g + 1j * rng.normal(size=g.shape) if complex_ else g)[0]
+
+    tail = 0.8 ** np.arange(n - 3)
+    s = np.array([[10.0, 9.0, 8.0, *(c * tail)] for c in np.linspace(0.5, 6.0, m)])
+    return (orthonormal() * s[:, None, :]) @ np.conj(np.swapaxes(orthonormal(), 1, 2))
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_subspace_svd_of_a_slice_does_not_depend_on_its_batch(complex_):
+    rng = np.random.default_rng(22)
+    a, v = graded_batch(6, 40, complex_, rng), rng.normal(size=(6, 40, 8))
+    if not complex_:  # laid out as _batches hands over the real slices, a strided view
+        a = (a + 0j).real
+    batched = core._subspace_svd(a, v, 5.0)
+    assert batched[3].all()
+    for i in range(len(a)):
+        alone = core._subspace_svd(a[i:i + 1], v[i:i + 1], 5.0)
+        for whole, one in zip(batched, alone):
+            assert whole[i:i + 1].tobytes() == one.tobytes(), i
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["exact", "warm"])
+def test_half_svt_does_not_depend_on_the_block_size(monkeypatch, warm):
+    # 80 x 80 complex slices are 100 KiB: one slice per block, three, and all
+    # of the seven complex slices in one.
+    n3 = 16
+    y = gen_low_tubal_rank(80, 80, n3, 2, seed=23) + 1e-3 * np.random.default_rng(23).normal(size=(80, 80, n3))
+    stack = half_spectrum(y)
+    results = []
+    for block in (1, 3 * 80 * 80 * 16, 1 << 30):
+        monkeypatch.setattr(core, "BLOCK_BYTES", block)
+        state = WarmStart(rank=2) if warm else None
+        out = [half_svt(stack.copy(), n3, tau, state).tobytes() for tau in (1.0, 0.5)]
+        results.append((out, state and (state.basis.tobytes(), state.rank, state.certified, state.fallbacks)))
+    assert not warm or results[0][1][2] > 0
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["exact", "warm"])
+@pytest.mark.parametrize("n3", [30, 120])
+def test_half_svt_temporaries_stay_block_sized(n3, warm):
+    # The complex slices of 128 x 128 are 256 KiB: 14 to 59 of them, in blocks.
+    y = gen_low_tubal_rank(128, 128, n3, 3, seed=n3) + 1e-3 * np.random.default_rng(n3).normal(size=(128, 128, n3))
+    stack = half_spectrum(y)
+    state = WarmStart(rank=3) if warm else None
+    if warm:
+        half_svt(stack.copy(), n3, 1.0, state)  # a first call leaves a basis to start from
+    peak = traced_peak(lambda: half_svt(stack, n3, 1.0, state))
+    assert not warm or state.certified == 2 * len(stack)
+    # Beyond the start basis, whose size is the warm state's, not a temporary.
+    assert peak - (state.basis.nbytes if warm else 0) <= 3.5 * core.BLOCK_BYTES
 
 
 # ── layering ─────────────────────────────────────────────────────────────────

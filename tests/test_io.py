@@ -60,6 +60,16 @@ def test_write_copies_the_payload_once(tmp_path, order):
     assert path.read_bytes()[16:] == np.ascontiguousarray(a.transpose(2, 0, 1)).tobytes()
 
 
+def test_read_holds_one_payload(tmp_path):
+    # The payload goes into the result a few frontal slices at a time.
+    a = np.random.default_rng(2).normal(size=(100, 100, 100))
+    path = tmp_path / "a.t3f"
+    io.write_tensor(path, a)
+    back = []
+    assert traced_peak(lambda: back.append(io.read_tensor(path))) <= 1.1 * a.nbytes
+    assert back[0].tobytes() == a.tobytes()
+
+
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.t3f"
     path.write_bytes(b"XXXX" + b"\0" * 20)

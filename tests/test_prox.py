@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from tubalkit import solver
 from tubalkit.algebra import ctranspose, tprod
-from tubalkit.core import OVERSAMPLE, PARTIAL_SVD_FRACTION, WarmStart, fro_norm, from_half_spectrum, l1_norm
+from tubalkit.core import (
+    BLOCK_BYTES,
+    OVERSAMPLE,
+    PARTIAL_SVD_FRACTION,
+    WarmStart,
+    fro_norm,
+    from_half_spectrum,
+    l1_norm,
+)
 from tubalkit.decomposition import skinny_tsvd, tsvd
 from tubalkit.errors import NumericalFailure
 from tubalkit.norms import check_subgradient, spectral_norm, tnn
@@ -204,17 +212,23 @@ def test_tsvt_rejects_negative_tau():
 
 
 def test_exact_tsvt_holds_one_spectrum_less():
-    # The kernel thresholds the spectrum of y in place: a second (h, n1, n2)
-    # buffer for its output would lift the peak here to ~5 spectrum sizes.
+    # The kernel thresholds the spectrum of y in place, a block of slices at a
+    # time: beyond the block's temporaries it holds the spectrum and the
+    # result, and only the spectrum when the result goes over y. A second
+    # (h, n1, n2) buffer would lift either peak by one spectrum size.
     y = np.random.default_rng(5).normal(size=(40, 40, 400))
     spectrum = (400 // 2 + 1) * 40 * 40 * 16
-    tracemalloc.start()
-    try:
-        tsvt(y, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4.5 * spectrum
+    expected = tsvt(y, 1.0)
+    for out, held in ((None, 2), (y, 1)):
+        tracemalloc.start()
+        try:
+            result = tsvt(y, 1.0, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < held * spectrum + 3.25 * BLOCK_BYTES
+        assert result.tobytes() == expected.tobytes()
+    assert result is y
 
 
 # ── tsvt with a warm start (certified partial SVD) ──────────────────────────
@@ -284,9 +298,10 @@ def test_warm_tsvt_matches_exact_on_solver_iterates(monkeypatch):
     e0 = gen_sparse_bernoulli(WIDE, WIDE, 10, 0.05, "rho", seed=4)
     calls = []
 
-    def checked(y, tau, warm):
-        out = tsvt(y, tau, warm)
-        assert_matches_exact(out, y, tau)
+    def checked(y, tau, warm, out):
+        arg = y.copy()  # the solver has tsvt write over its argument
+        out = tsvt(y, tau, warm, out=out)
+        assert_matches_exact(out, arg, tau)
         calls.append(tau)
         return out
 
