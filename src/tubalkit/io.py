@@ -28,11 +28,11 @@ from .errors import (
 MAGIC = b"T3F1"
 # Caps header-driven allocation; 2^32 doubles is already 32 GiB.
 MAX_ELEMENTS = 1 << 32
-# read_tensor reads runs of whole frontal slices of at most this many bytes (one
-# slice at least). One slice per read took 1.1 s for a 1 x 1 x 10^6 file, whose
-# whole payload reads in 2 ms; 256 KiB runs keep the peak of reading a 64 MB
-# file at 1.005 payloads.
-READ_BYTES = 1 << 18
+# read_tensor and write_tensor move the payload in runs of whole frontal slices
+# of at most this many bytes (one slice at least). One slice per read took 1.1 s
+# for a 1 x 1 x 10^6 file, whose whole payload reads in 2 ms; 256 KiB runs keep
+# the peak of reading a 64 MB file at 1.005 payloads.
+RUN_BYTES = 1 << 18
 
 
 def _check_dims(path, shape):
@@ -43,8 +43,20 @@ def _check_dims(path, shape):
         raise DimensionOverflow(f"{path}: unusable dimensions ({n1}, {n2}, {n3})")
 
 
+def _runs(shape):
+    """(k, run) for each run of whole frontal slices, from slice k, of at most
+    RUN_BYTES (one slice at least): run is a (slices, n1, n2) view, in file
+    order, of one buffer that every run shares."""
+    n1, n2, n3 = shape
+    step = max(1, RUN_BYTES // (8 * n1 * n2))
+    buffer = np.empty((min(step, n3), n1, n2), dtype="<f8")
+    for k in range(0, n3, step):
+        yield k, buffer[:n3 - k]
+
+
 def write_tensor(path, a):
-    """Serialize a tensor to a T3F1 file."""
+    """Serialize a tensor to a T3F1 file, a run of frontal slices at a time, so
+    that no copy of the whole payload is made."""
     # Before as_tensor3, so that an empty third mode is a DimensionOverflow too.
     if np.ndim(a) == 3:
         _check_dims(path, np.shape(a))
@@ -52,7 +64,9 @@ def write_tensor(path, a):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<III", *a.shape))
-        fh.write(np.ascontiguousarray(a.transpose(2, 0, 1), dtype="<f8"))
+        for k, run in _runs(a.shape):
+            run[...] = a[:, :, k:k + len(run)].transpose(2, 0, 1)
+            fh.write(run)
 
 
 def read_tensor(path):
@@ -71,13 +85,10 @@ def read_tensor(path):
         if size < need:
             raise Truncated(f"{path}: expected {need} bytes, found {size}")
         out = np.empty((n1, n2, n3))
-        step = max(1, READ_BYTES // (8 * n1 * n2))
-        run = np.empty((min(step, n3), n1, n2), dtype="<f8")
-        for k in range(0, n3, step):
-            part = run[:n3 - k]
-            if fh.readinto(part) < part.nbytes:
+        for k, run in _runs((n1, n2, n3)):
+            if fh.readinto(run) < run.nbytes:
                 raise Truncated(f"{path}: file shrank while being read")
-            out[:, :, k:k + len(part)] = part.transpose(1, 2, 0)
+            out[:, :, k:k + len(run)] = run.transpose(1, 2, 0)
     return out
 
 

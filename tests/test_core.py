@@ -424,6 +424,77 @@ def test_subspace_svd_of_a_slice_does_not_depend_on_its_batch(complex_):
             assert whole[i:i + 1].tobytes() == one.tobytes(), i
 
 
+def unitary(rng, n, complex_):
+    g = rng.normal(size=(n, n))
+    return np.linalg.qr(g + 1j * rng.normal(size=g.shape) if complex_ else g)[0]
+
+
+HARD_SPECTRA = {
+    "zero": np.zeros(100),
+    "rank-3": np.r_[30.0, 20.0, 10.0, np.zeros(97)],
+    "spread-1e4": np.r_[2 * np.geomspace(1e4, 1, 5), np.full(95, 0.5)],
+    "spread-1e8": np.r_[2 * np.geomspace(1e8, 1, 5), np.full(95, 0.5)],
+    # The tail's fourth-power bound is 0.96, just under tau = 1.
+    "graded": np.r_[np.geomspace(50, 2, 5), 0.95 * 0.9 ** np.arange(95)],
+}
+
+
+@pytest.mark.parametrize("kind", HARD_SPECTRA)
+def test_warm_path_certifies_hard_spectra(kind):
+    # Six 100 x 100 slices (n3 = 11: slice 0 real, five complex) of one
+    # spectrum. Without the degree rule, the guard on s = 0 or the budget in
+    # applications of a^H a, the filter leaves some of them uncertified.
+    n3, rng = 11, np.random.default_rng(24)
+    stack = np.array([(unitary(rng, 100, k > 0) * HARD_SPECTRA[kind]) @ np.conj(unitary(rng, 100, k > 0).T)
+                      for k in range(n3 // 2 + 1)])
+    exact = half_svt(stack.copy(), n3, 1.0)
+    warm = WarmStart(rank=5)
+    for call in range(1, 4):
+        out = half_svt(stack.copy(), n3, 1.0, warm)
+        assert (warm.certified, warm.fallbacks) == (6 * call, 0), call
+        assert fro_norm(out - exact) <= 1e-12 * fro_norm(exact), call
+
+
+def test_filter_certifies_a_solver_spectrum_in_three_cycles(monkeypatch):
+    # A block of three slices as the 100 x 100 x 100 criterion-1 solve has them
+    # mid-solve: five values of 450-505 over a flat bulk, sigma_6..sigma_13 =
+    # 178..152, started from perturbed singular vectors. Plain subspace
+    # iteration took 12 steps here, each with two QRs.
+    rng = np.random.default_rng(25)
+    s = np.r_[np.linspace(505, 450, 5), np.linspace(178, 152, 8), np.linspace(151, 150, 87)]
+    u, v = (np.array([unitary(rng, 100, True) for _ in range(3)]) for _ in range(2))
+    a = (u * s) @ np.conj(np.swapaxes(v, 1, 2))
+    noise = rng.normal(size=(3, 100, 5 + core.OVERSAMPLE, 2)) @ [1, 1j]
+    start = v[:, :, :5 + core.OVERSAMPLE] + 1e-2 * noise
+    calls = []
+    for name in ("qr", "eigh"):
+        monkeypatch.setattr(np.linalg, name, lambda x, *args, f=getattr(np.linalg, name), name=name, **kwargs:
+                            calls.append(name) or f(x, *args, **kwargs))
+    uk, sk, _, ok = core._subspace_svd(a, start, 300.0)
+    assert ok.all()
+    assert calls.count("eigh") == calls.count("qr") <= 3  # one Rayleigh-Ritz step per cycle
+    assert np.allclose(sk[:, :5], s[:5], rtol=1e-12)
+
+
+def test_filter_of_a_slice_does_not_depend_on_the_degrees_batched_with_it(monkeypatch):
+    # Kept values spread by 1e4, by 25 and not at all: degrees 1, 2 and 3.
+    rng = np.random.default_rng(26)
+    tails = [np.full(35, 0.5), 0.95 * 0.9 ** np.arange(35), np.full(35, 0.5)]
+    heads = [2 * np.geomspace(1e4, 1, 5), np.geomspace(50, 2, 5), np.full(5, 3.0)]
+    a = np.array([(unitary(rng, 40, True) * np.r_[hd, tl]) @ np.conj(unitary(rng, 40, True).T)
+                  for hd, tl in zip(heads, tails)])
+    v = rng.normal(size=(3, 40, 8))
+    degrees = []
+    filter_ = core._chebyshev
+    monkeypatch.setattr(core, "_chebyshev", lambda b, y, v, s, d: degrees.append(d) or filter_(b, y, v, s, d))
+    batched = core._subspace_svd(a, v, 1.0)
+    assert batched[3].all() and len(set(degrees[0])) == 3
+    for i in range(len(a)):
+        alone = core._subspace_svd(a[i:i + 1], v[i:i + 1], 1.0)
+        for whole, one in zip(batched, alone):
+            assert whole[i:i + 1].tobytes() == one.tobytes(), i
+
+
 @pytest.mark.parametrize("warm", [False, True], ids=["exact", "warm"])
 def test_half_svt_does_not_depend_on_the_block_size(monkeypatch, warm):
     # 80 x 80 complex slices are 100 KiB: one slice per block, three, and all
@@ -541,6 +612,18 @@ def test_numerical_failure_is_raised_in_one_function():
                 if "NumericalFailure" in names:
                     raisers.append((name, func.name))
     assert raisers == [("core.py", "_svd")]
+
+
+def test_no_module_reads_the_environment():
+    # A filter degree, a spread limit or a BLAS thread count read from the
+    # environment would be a knob that no signature shows.
+    touches = {"os.environ", "os.environb", "os.getenv", "os.getenvb", "os.putenv", "os.unsetenv"}
+    for name, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                assert dotted(node) not in touches, (name, dotted(node))
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                assert not {f"os.{a.name}" for a in node.names} & touches, name
 
 
 def test_no_knob_that_no_caller_sets():

@@ -54,9 +54,11 @@ def test_tensor_layout_is_slice_slowest(tmp_path):
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_write_copies_the_payload_once(tmp_path, order):
+    # The payload goes out through one run buffer of ten frontal slices,
+    # 240 KB: 0.256 of the 960 KB payload measured, in either order.
     a = np.asarray(np.random.default_rng(1).normal(size=(60, 50, 40)), order=order)
     path = tmp_path / "a.t3f"
-    assert traced_peak(lambda: io.write_tensor(path, a)) <= 1.1 * a.nbytes
+    assert traced_peak(lambda: io.write_tensor(path, a)) <= 0.3 * a.nbytes
     assert path.read_bytes()[16:] == np.ascontiguousarray(a.transpose(2, 0, 1)).tobytes()
 
 
