@@ -59,7 +59,7 @@ def is_fdiagonal(s, tol=1e-8):
     """True if every frontal slice is diagonal within absolute tolerance tol."""
     s = as_tensor3(s)
     n1, n2, _ = s.shape
-    off = np.abs(s.copy())
+    off = np.abs(s)
     k = min(n1, n2)
     off[np.arange(k), np.arange(k), :] = 0.0
     return bool(off.size == 0 or np.max(off) <= tol)

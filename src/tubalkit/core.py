@@ -16,9 +16,9 @@ bit for bit. ``half_svt``, the singular value thresholding behind every
 ``tsvt``, does too, and overwrites the stack it is given. It alone decides
 when a slice may take a certified partial SVD, started from a
 ``WarmStart``'s vectors, and thresholds every other slice exactly. The
-partial SVD is a Chebyshev-filtered subspace iteration: each cycle is one
-Rayleigh-Ritz step and a Chebyshev filter, of a degree each slice takes from
-its own Ritz values, that damps the singular values below the block's.
+partial SVD is a shifted subspace iteration: each cycle is one Rayleigh-Ritz
+step and one step in a^H a, shifted so that it damps the singular values below
+the block's towards zero.
 
 The kernels take the slices from ``_batches``: the real ones as one batch,
 the complex ones in contiguous blocks of at most BLOCK_BYTES, so their
@@ -138,37 +138,27 @@ def half_svd(stack, n3, full_matrices=False, compute_uv=True):
 # The solver's partial SVD, measured on the 100x100x100 criterion-1 solve
 # (seed 1, 2,091 slice SVDs). A residual of 1e-12 of the slice norm kept every
 # thresholding step within 1e-12 of the exact one and the 41 iterations
-# unchanged. The budget counts applications of a^H a: each Rayleigh-Ritz step
-# takes one and a filter of degree d takes d. With 16 or 12 of them 2074 slice
-# SVDs were certified, with 8 1889, with 6 979. Plain subspace iteration took
-# 13,636 slice-steps, ~11 per slice mid-solve, each gaining only
-# (sigma_13 / sigma_5)^2 ~ 0.1 against a flat noise bulk; the filter took
-# 5,075 slice-cycles, 3 per slice mid-solve.
+# unchanged. A cycle takes two applications of a^H a, one in its Rayleigh-Ritz
+# step and one in its shifted step. Replaying the solve's 41 calls, at most 8,
+# 7, 6, 5 and 4 cycles certified 2074, 2074, 2071, 1854 and 1317 slice SVDs.
+# Plain subspace iteration took 13,636 slice-steps, ~11 per slice mid-solve,
+# each gaining only (sigma_13 / sigma_5)^2 ~ 0.1 against a flat noise bulk;
+# the shifted step took 7,643 slice-cycles. Chebyshev filters of degree 2 and 3
+# in its place took 5,834 and 5,075 in the same time.
 PARTIAL_SVD_TOL = 1e-12
-PARTIAL_SVD_STEPS = 16
-# Columns of the partial SVD beyond the last kept rank. Under the filter 5, 6
-# and 7 certified the same 2074 slice SVDs within the 5.5-6.0 s spread of one
-# solve (3: 2063). With 7, slices narrower than 8 * 7 = 56 stay on the full
-# SVD: on 40- and 50-wide slices the partial path gained no time and cost 2-5%
-# more peak memory.
+PARTIAL_SVD_CYCLES = 8
+# Columns of the partial SVD beyond the last kept rank. On the same calls 5, 6
+# and 7 certified the same 2074 slice SVDs within the spread of repeated runs
+# (3: 2066). With 7, slices narrower than 8 * 7 = 56 stay on the full SVD: on
+# 40- and 50-wide slices the partial path gained no time and cost 2-5% more
+# peak memory.
 OVERSAMPLE = 7
 # The partial SVD runs while PARTIAL_SVD_FRACTION * (kept rank + OVERSAMPLE) is
-# at most min(n1, n2). A warm filtered call on slices 40 to 200 wide, with a
-# solver-like spectrum (kept values 450-505 over a 150-178 bulk), cost
-# 0.42-0.89 of the full SVD with that many columns, 0.53-0.94 with
-# min(n1, n2) / 6 and 0.68-1.10 with min(n1, n2) / 4; plain subspace iteration
-# cost 0.70-1.32, 0.90-1.58 and 1.78-2.63 on the same slices.
+# at most min(n1, n2). A warm call on slices 60 to 200 wide, with a
+# solver-like spectrum (kept values 450-505 over a 150-178 bulk) and a start
+# 1e-2 off the singular vectors, cost 0.47-0.81 of the full SVD with that many
+# columns, 0.45-0.96 with min(n1, n2) / 6 and 0.69-1.59 with min(n1, n2) / 4.
 PARTIAL_SVD_FRACTION = 8
-# The filter's degree: at most CHEBYSHEV_DEGREE, and lowered so that the growth
-# of sigma_1's direction over the last kept one's, (s_1 / s_k)^(2d), stays at
-# most CHEBYSHEV_SPREAD; past it a column that starts as a mixture loses
-# sigma_k to rounding. On the criterion-1 solve (s_1 / s_5 ~ 1.1-1.7) the
-# degrees 1, 2, 3 and 4 took 7,643, 5,834, 5,075 and 4,708 slice-cycles, all
-# within the spread of one solve's time and certifying the same 2074. With no
-# spread limit, six 100-wide slices whose five kept values span 1e8 certified
-# 8 of 18 times in three warm calls (tests/test_core.py), against 18 with it.
-CHEBYSHEV_DEGREE = 3
-CHEBYSHEV_SPREAD = 1e6
 
 
 def _ct(a):
@@ -201,44 +191,17 @@ def _certified(a, uk, tau):
     return ok
 
 
-def _chebyshev(b, y, v, s, d):
-    """v after a Chebyshev filter of degree d (per matrix, 1 to CHEBYSHEV_DEGREE)
-    in the Gram matrix b^H b of each matrix of the batch b, given y = b v and
-    the Ritz values s. With x the eigenvalues of b^H b / s_1^2 it applies
-    h^d T_d((x - h) / h), h = (s_l / s_1)^2 / 2: at most h^d on the damped
-    interval [0, (s_l / s_1)^2], and 2^(d - 1) x^d as h goes to 0."""
-    h = ((s[:, -1] / s[:, 0]) ** 2 / 2)[:, None, None]
-    r = (s[:, 0] ** 2)[:, None, None]
-    out, idx = np.empty_like(v), np.arange(len(b))
-    x0, x = v, _ct(_ct(y) @ b)  # T_1, then T_j+1 = 2 (x - h) T_j - h^2 T_j-1
-    x /= r
-    x -= h * v
-    for j in range(2, CHEBYSHEV_DEGREE + 2):
-        done = d < j  # the matrices whose filter is complete
-        out[idx[done]] = x[done]
-        if done.all():
-            return out
-        if done.any():
-            idx, b, x0, x, h, r, d = (t[~done] for t in (idx, b, x0, x, h, r, d))
-        t = _ct(_ct(b @ x) @ b)
-        t /= r
-        t -= h * x
-        t *= 2
-        t -= h * h * x0
-        x0, x = x, t
-
-
 def _subspace_svd(a, v, tau):
-    """Top singular triplets of each matrix of the batch a by Chebyshev-filtered
-    subspace iteration from the columns v; returns (u, s, vh, certified).
+    """Top singular triplets of each matrix of the batch a by shifted subspace
+    iteration from the columns v; returns (u, s, vh, certified).
 
     Each cycle is a Rayleigh-Ritz step, q = qr(a v), z = a^H q and the
     eigenpairs (w, s^2) of z^H z, giving u = q w and v = z w / s, so that
-    u^H a = s v^H; then, unless the triplets fit, a Chebyshev filter of the
-    matrix's own degree that damps the Ritz values below s_l. A matrix stops at
-    the first cycle whose triplets fit and keeps them, or when its next cycle
-    would pass PARTIAL_SVD_STEPS applications of a^H a, so its result does not
-    depend on the rest of the batch."""
+    u^H a = s v^H; then, unless the triplets fit, one shifted step
+    v <- (a^H a / s_1^2 - h) v, h = (s_l / s_1)^2 / 2, which maps the Ritz
+    values below s_l into [-h, h] and s_1 to 1 - h. A matrix stops at the
+    first cycle whose triplets fit and keeps them, or after PARTIAL_SVD_CYCLES
+    cycles, so its result does not depend on the rest of the batch."""
     # Contiguous, as the active subsets below are, so that a matrix meets the
     # same layouts in a batch and alone; the real slices arrive strided.
     a, v = np.ascontiguousarray(a), np.ascontiguousarray(v)
@@ -246,9 +209,9 @@ def _subspace_svd(a, v, tau):
     u, s = np.empty((m, n1, l), dtype=np.result_type(a, v)), np.empty((m, l))
     vh, fits = np.empty((m, l, n2), dtype=u.dtype), np.zeros(m, dtype=bool)
     scale = np.linalg.norm(a, axis=(1, 2))
-    act, b, left = np.arange(m), a, np.full(m, PARTIAL_SVD_STEPS)  # the matrices still stepping
+    act, b = np.arange(m), a  # the matrices still stepping
     y = a @ v
-    while True:
+    for cycle in range(PARTIAL_SVD_CYCLES):
         q = np.linalg.qr(y)[0]
         p = _ct(q) @ b  # z^H
         s2, w = np.linalg.eigh(p @ _ct(p))
@@ -259,20 +222,13 @@ def _subspace_svd(a, v, tau):
         kept = sb > tau
         fit = np.linalg.norm((y - ub * sb[:, None, :]) * kept[:, None, :], axis=(1, 2)) <= PARTIAL_SVD_TOL * scale[act]
         u[act], s[act], vh[act], fits[act] = ub, sb, _ct(v), fit
-        # The degree allows (s_1 / s_k)^(2d) <= CHEBYSHEV_SPREAD for the last
-        # kept s_k, and leaves one application for the next Rayleigh-Ritz step.
-        sk = sb[np.arange(len(sb)), np.maximum(kept.sum(axis=1), 1) - 1]
-        ratio = np.divide(sk, sb[:, 0], out=np.ones_like(sk), where=sb[:, 0] > 0)
-        d = 1 + sum(CHEBYSHEV_SPREAD * ratio ** (2 * j) >= 1 for j in range(2, CHEBYSHEV_DEGREE + 1))
-        left -= 1
-        d = np.minimum(d, left - 1)
-        go = ~fit & (d > 0)
-        if not go.any():
+        if fit.all() or cycle == PARTIAL_SVD_CYCLES - 1:
             break
-        if not go.all():
-            act, b, y, v, sb, d, left = (t[go] for t in (act, b, y, v, sb, d, left))
-        v = _chebyshev(b, y, v, sb, d)
-        left -= d
+        if fit.any():
+            act, b, y, v, sb = (t[~fit] for t in (act, b, y, v, sb))
+        # A matrix that does not fit keeps some s > tau >= 0, so s_1 > 0.
+        h = ((sb[:, -1] / sb[:, 0]) ** 2 / 2)[:, None, None]
+        v = _ct(_ct(y) @ b) / sb[:, :1, None] ** 2 - h * v
         y = b @ v
     del b, y, v, q, p, w, ub  # freed before the certificate's temporaries
     return u, s, vh, fits & _certified(a, u * (s > tau)[:, None, :], tau)
@@ -297,17 +253,18 @@ def half_svt(stack, n3, tau, warm=None):
 
     Without a ``WarmStart`` every slice takes the full SVD. With one, while
     PARTIAL_SVD_FRACTION * l is at most min(n1, n2) for l = warm.rank +
-    OVERSAMPLE, each slice first gets its l leading triplets by
-    Chebyshev-filtered subspace iteration, started from the previous call's
-    right singular vectors, then fixed-seed random columns. It is certified when those with s > tau leave
-    a residual ||a v - u s||_F at most PARTIAL_SVD_TOL * ||a||_F (u^H a =
-    s v^H holds by construction) and an upper bound on the spectral norm of
-    what they leave out is below tau; because the prox is nonexpansive, the
-    result is then within that residual of the exact one. Every other slice,
-    NaN included, takes the full SVD and the same rebuild as without a
-    ``WarmStart``, so it is thresholded exactly. The real slices stay in real
-    arithmetic. ``warm`` keeps the l leading right singular vectors, the
-    largest kept rank and the counts of certified and fallen-back slices.
+    OVERSAMPLE, each slice first gets its l leading triplets by shifted
+    subspace iteration, started from the previous call's right singular
+    vectors, then fixed-seed random columns. It is certified when those with
+    s > tau leave a residual ||a v - u s||_F at most PARTIAL_SVD_TOL * ||a||_F
+    (u^H a = s v^H holds by construction) and an upper bound on the spectral
+    norm of what they leave out is below tau; because the prox is
+    nonexpansive, the result is then within that residual of the exact one.
+    Every other slice, NaN included, takes the full SVD and the same rebuild
+    as without a ``WarmStart``, so it is thresholded exactly. The real slices
+    stay in real arithmetic. ``warm`` keeps the l leading right singular
+    vectors, the largest kept rank and the counts of certified and fallen-back
+    slices.
     """
     h, n1, n2 = stack.shape
     # The start basis; each batch's new right singular vectors replace its own.

@@ -410,16 +410,24 @@ def graded_batch(m, n, complex_, rng):
     return (orthonormal() * s[:, None, :]) @ np.conj(np.swapaxes(orthonormal(), 1, 2))
 
 
-@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-def test_subspace_svd_of_a_slice_does_not_depend_on_its_batch(complex_):
-    rng = np.random.default_rng(22)
-    a, v = graded_batch(6, 40, complex_, rng), rng.normal(size=(6, 40, 8))
-    if not complex_:  # laid out as _batches hands over the real slices, a strided view
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed-spread"])
+def test_subspace_svd_of_a_slice_does_not_depend_on_its_batch(kind):
+    if kind == "mixed-spread":  # five kept values spread by 1e4, by 25 and not at all
+        rng, tau = np.random.default_rng(26), 1.0
+        tails = [np.full(35, 0.5), 0.95 * 0.9 ** np.arange(35), np.full(35, 0.5)]
+        heads = [2 * np.geomspace(1e4, 1, 5), np.geomspace(50, 2, 5), np.full(5, 3.0)]
+        a = np.array([(unitary(rng, 40, True) * np.r_[hd, tl]) @ np.conj(unitary(rng, 40, True).T)
+                      for hd, tl in zip(heads, tails)])
+        v = rng.normal(size=(3, 40, 8))
+    else:
+        rng, tau = np.random.default_rng(22), 5.0
+        a, v = graded_batch(6, 40, kind == "complex", rng), rng.normal(size=(6, 40, 8))
+    if kind == "real":  # laid out as _batches hands over the real slices, a strided view
         a = (a + 0j).real
-    batched = core._subspace_svd(a, v, 5.0)
+    batched = core._subspace_svd(a, v, tau)
     assert batched[3].all()
     for i in range(len(a)):
-        alone = core._subspace_svd(a[i:i + 1], v[i:i + 1], 5.0)
+        alone = core._subspace_svd(a[i:i + 1], v[i:i + 1], tau)
         for whole, one in zip(batched, alone):
             assert whole[i:i + 1].tobytes() == one.tobytes(), i
 
@@ -442,8 +450,8 @@ HARD_SPECTRA = {
 @pytest.mark.parametrize("kind", HARD_SPECTRA)
 def test_warm_path_certifies_hard_spectra(kind):
     # Six 100 x 100 slices (n3 = 11: slice 0 real, five complex) of one
-    # spectrum. Without the degree rule, the guard on s = 0 or the budget in
-    # applications of a^H a, the filter leaves some of them uncertified.
+    # spectrum. Without the guard on s = 0, or with fewer cycles, the partial
+    # SVD leaves some of them uncertified.
     n3, rng = 11, np.random.default_rng(24)
     stack = np.array([(unitary(rng, 100, k > 0) * HARD_SPECTRA[kind]) @ np.conj(unitary(rng, 100, k > 0).T)
                       for k in range(n3 // 2 + 1)])
@@ -455,7 +463,7 @@ def test_warm_path_certifies_hard_spectra(kind):
         assert fro_norm(out - exact) <= 1e-12 * fro_norm(exact), call
 
 
-def test_filter_certifies_a_solver_spectrum_in_three_cycles(monkeypatch):
+def test_shifted_step_certifies_a_solver_spectrum_in_six_cycles(monkeypatch):
     # A block of three slices as the 100 x 100 x 100 criterion-1 solve has them
     # mid-solve: five values of 450-505 over a flat bulk, sigma_6..sigma_13 =
     # 178..152, started from perturbed singular vectors. Plain subspace
@@ -472,27 +480,8 @@ def test_filter_certifies_a_solver_spectrum_in_three_cycles(monkeypatch):
                             calls.append(name) or f(x, *args, **kwargs))
     uk, sk, _, ok = core._subspace_svd(a, start, 300.0)
     assert ok.all()
-    assert calls.count("eigh") == calls.count("qr") <= 3  # one Rayleigh-Ritz step per cycle
+    assert calls.count("eigh") == calls.count("qr") == 6  # one Rayleigh-Ritz step per cycle
     assert np.allclose(sk[:, :5], s[:5], rtol=1e-12)
-
-
-def test_filter_of_a_slice_does_not_depend_on_the_degrees_batched_with_it(monkeypatch):
-    # Kept values spread by 1e4, by 25 and not at all: degrees 1, 2 and 3.
-    rng = np.random.default_rng(26)
-    tails = [np.full(35, 0.5), 0.95 * 0.9 ** np.arange(35), np.full(35, 0.5)]
-    heads = [2 * np.geomspace(1e4, 1, 5), np.geomspace(50, 2, 5), np.full(5, 3.0)]
-    a = np.array([(unitary(rng, 40, True) * np.r_[hd, tl]) @ np.conj(unitary(rng, 40, True).T)
-                  for hd, tl in zip(heads, tails)])
-    v = rng.normal(size=(3, 40, 8))
-    degrees = []
-    filter_ = core._chebyshev
-    monkeypatch.setattr(core, "_chebyshev", lambda b, y, v, s, d: degrees.append(d) or filter_(b, y, v, s, d))
-    batched = core._subspace_svd(a, v, 1.0)
-    assert batched[3].all() and len(set(degrees[0])) == 3
-    for i in range(len(a)):
-        alone = core._subspace_svd(a[i:i + 1], v[i:i + 1], 1.0)
-        for whole, one in zip(batched, alone):
-            assert whole[i:i + 1].tobytes() == one.tobytes(), i
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["exact", "warm"])
@@ -615,7 +604,7 @@ def test_numerical_failure_is_raised_in_one_function():
 
 
 def test_no_module_reads_the_environment():
-    # A filter degree, a spread limit or a BLAS thread count read from the
+    # A cycle budget, a tolerance or a BLAS thread count read from the
     # environment would be a knob that no signature shows.
     touches = {"os.environ", "os.environb", "os.getenv", "os.getenvb", "os.putenv", "os.unsetenv"}
     for name, tree in package_trees():
