@@ -98,11 +98,11 @@ BLOCK_BYTES = 1 << 19
 
 def _batches(n3, *stacks):
     """(positions, the slices of each stack there) over the half spectrum, the
-    one place that splits it: the real slices as one batch of real arrays, then
-    the complex ones in contiguous blocks, views, of at most BLOCK_BYTES of the
-    widest stack's slices (one slice at least)."""
+    one place that splits it: the real slices as one batch, a contiguous copy of
+    their real parts, then the complex ones in contiguous blocks, views, of at
+    most BLOCK_BYTES of the widest stack's slices (one slice at least)."""
     real, cx = real_slices(n3), complex_slices(n3)
-    yield real, *(s[real].real for s in stacks)
+    yield real, *(s.real[real] for s in stacks)
     step = max(1, BLOCK_BYTES // max(1, *(s[0].nbytes for s in stacks)))
     for start in range(cx.start, cx.stop, step):
         pos = slice(start, min(start + step, cx.stop))
@@ -149,29 +149,31 @@ PARTIAL_SVD_TOL = 1e-12
 PARTIAL_SVD_CYCLES = 8
 # Columns of the partial SVD beyond the last kept rank. On the same calls 5, 6
 # and 7 certified the same 2074 slice SVDs within the spread of repeated runs
-# (3: 2066). With 7, slices narrower than 8 * 7 = 56 stay on the full SVD: on
-# 40- and 50-wide slices the partial path gained no time and cost 2-5% more
-# peak memory.
+# (3: 2066).
 OVERSAMPLE = 7
 # The partial SVD runs while PARTIAL_SVD_FRACTION * (kept rank + OVERSAMPLE) is
-# at most min(n1, n2). A warm call on slices 60 to 200 wide, with a
-# solver-like spectrum (kept values 450-505 over a 150-178 bulk) and a start
-# 1e-2 off the singular vectors, cost 0.47-0.81 of the full SVD with that many
-# columns, 0.45-0.96 with min(n1, n2) / 6 and 0.69-1.59 with min(n1, n2) / 4.
-PARTIAL_SVD_FRACTION = 8
+# at most min(n1, n2): on 40-wide slices up to a kept rank of 3. One solve each
+# (seed 1, 2 vCPUs, OpenBLAS 2 threads) with fractions 2, 3, 4, 5 and 8:
+# - 40x40x400 at rank 2, 29 iterations of 201 slices that keep 2 values: 3.78,
+#   3.45, 3.48, 3.92 and 4.91 s; 5 opens the gate only while at most one value
+#   is kept, for 603 of the 5,829 slice SVDs, and 8 never;
+# - the 50x50x20 phase grid of the benchmark: 16.3, 12.9, 11.4, 12.9 and 14.2 s,
+#   its rank-20 solves, whose gate opens only in the first iterations, taking
+#   97-194, 69-85, 42-50, 31-33 and 0 fallback SVDs each;
+# - the criterion-1 solve's 100-wide slices, keeping 5 values, pass with 8 and
+#   4 alike.
+PARTIAL_SVD_FRACTION = 4
 
 
 def _ct(a):
     return np.conj(np.swapaxes(a, -1, -2))
 
 
-def _gram(w):
-    """w^H w, or w w^H for a wide w, of each matrix of the batch w, formed one
-    matrix at a time: the conjugate copy it takes is one matrix, not the batch."""
-    g = np.empty((len(w), *[min(w.shape[1:])] * 2), dtype=w.dtype)
-    for x, gx in zip(w, g):
-        np.matmul(*((_ct(x), x) if x.shape[0] >= x.shape[1] else (x, _ct(x))), out=gx)
-    return g
+def _fro_norms(x):
+    """The Frobenius norm of each matrix of the batch x, one matrix at a time:
+    np.linalg.norm over axes (1, 2) of a complex batch takes two batch-sized
+    temporaries, its conjugate and the product."""
+    return np.sqrt([np.vdot(m, m).real for m in x])
 
 
 def _certified(a, uk, tau):
@@ -179,16 +181,31 @@ def _certified(a, uk, tau):
     w = (I - uk uk^H) a is below tau, by its upper bound ||(w^H w)^4||_F^(1/8).
     It bounds the norm of what the triplets leave out, w (I - vk vk^H). The
     bounds for p = 1 and 2 of ||(w^H w)^p||_F^(1/2p), a Schatten norm, never
-    smaller, decide first, so each power is formed only for undecided slices."""
-    g = _gram(a - uk @ (_ct(uk) @ a))
+    smaller, decide first, so each power is formed only for undecided slices.
+    w, its Gram matrix w^H w (w w^H for a wide w) and the powers are formed one
+    matrix at a time into one batch g, which shrinks in place, so g is the only
+    batch-sized temporary."""
+    g = np.empty((len(a), *[min(a.shape[1:])] * 2), dtype=np.result_type(a, uk))
+    w = np.empty(a.shape[1:], dtype=g.dtype)
+    for x, u, gx in zip(a, uk, g):
+        np.subtract(x, np.matmul(u, _ct(u) @ x, out=w), out=w)
+        np.matmul(*((_ct(w), w) if w.shape[0] >= w.shape[1] else (w, _ct(w))), out=gx)
     g /= tau * tau
-    ok = fits = np.linalg.norm(g, axis=(1, 2)) < 1.0
+    ok = fits = _fro_norms(g) < 1.0
     left = np.arange(len(g))
-    for _ in range(2):  # p = 2, then 4; g shrinks to the undecided slices, left
-        left, g = left[~fits], g[~fits]
-        g = g @ g
-        ok[left] = fits = np.linalg.norm(g, axis=(1, 2)) < 1.0
+    for _ in range(2):  # p = 2, then 4; g shrinks in place to the undecided slices, left
+        left, g = left[~fits], _shrink(g, np.flatnonzero(~fits))
+        for gx in g:
+            gx[...] = gx @ gx
+        ok[left] = fits = _fro_norms(g) < 1.0
     return ok
+
+
+def _shrink(t, keep):
+    """t[keep] for increasing indices keep, moved over the leading rows of t."""
+    for j, i in enumerate(keep):
+        t[j] = t[i]
+    return t[:len(keep)]
 
 
 def _subspace_svd(a, v, tau):
@@ -201,36 +218,43 @@ def _subspace_svd(a, v, tau):
     v <- (a^H a / s_1^2 - h) v, h = (s_l / s_1)^2 / 2, which maps the Ritz
     values below s_l into [-h, h] and s_1 to 1 - h. A matrix stops at the
     first cycle whose triplets fit and keeps them, or after PARTIAL_SVD_CYCLES
-    cycles, so its result does not depend on the rest of the batch."""
+    cycles, so its result does not depend on the rest of the batch. The (n, l)
+    temporaries are freed or overwritten where they die, so that few of them
+    are alive at once."""
     # Contiguous, as the active subsets below are, so that a matrix meets the
-    # same layouts in a batch and alone; the real slices arrive strided.
+    # same layouts in a batch and alone, also for a strided batch.
     a, v = np.ascontiguousarray(a), np.ascontiguousarray(v)
     (m, n1, n2), l = a.shape, v.shape[2]
     u, s = np.empty((m, n1, l), dtype=np.result_type(a, v)), np.empty((m, l))
     vh, fits = np.empty((m, l, n2), dtype=u.dtype), np.zeros(m, dtype=bool)
-    scale = np.linalg.norm(a, axis=(1, 2))
+    scale = _fro_norms(a)
     act, b = np.arange(m), a  # the matrices still stepping
     y = a @ v
     for cycle in range(PARTIAL_SVD_CYCLES):
         q = np.linalg.qr(y)[0]
-        p = _ct(q) @ b  # z^H
-        s2, w = np.linalg.eigh(p @ _ct(p))
+        z = _ct(_ct(q) @ b)  # a^H q
+        s2, w = np.linalg.eigh(_ct(z) @ z)
         sb, w = np.sqrt(np.maximum(s2[:, ::-1], 0.0)), w[:, :, ::-1]
-        ub, v = q @ w, _ct(p) @ w
+        r, v = q @ w, z @ w  # r holds u, then the residual
+        del q, z
         np.divide(v, sb[:, None, :], out=v, where=sb[:, None, :] > 0)  # z w is ~0 where s = 0
         y = b @ v
-        kept = sb > tau
-        fit = np.linalg.norm((y - ub * sb[:, None, :]) * kept[:, None, :], axis=(1, 2)) <= PARTIAL_SVD_TOL * scale[act]
-        u[act], s[act], vh[act], fits[act] = ub, sb, _ct(v), fit
+        u[act], s[act], vh[act] = r, sb, _ct(v)
+        np.subtract(y, np.multiply(r, sb[:, None, :], out=r), out=r)  # a v - u s
+        r *= (sb > tau)[:, None, :]
+        fits[act] = fit = _fro_norms(r) <= PARTIAL_SVD_TOL * scale[act]
+        del r
         if fit.all() or cycle == PARTIAL_SVD_CYCLES - 1:
             break
-        if fit.any():
-            act, b, y, v, sb = (t[~fit] for t in (act, b, y, v, sb))
+        if fit.any():  # b becomes a copy of a's rows the first time, then shrinks in place
+            keep = np.flatnonzero(~fit)
+            b = a[keep] if b is a else _shrink(b, keep)
+            act, y, v, sb = (t[keep] for t in (act, y, v, sb))
         # A matrix that does not fit keeps some s > tau >= 0, so s_1 > 0.
-        h = ((sb[:, -1] / sb[:, 0]) ** 2 / 2)[:, None, None]
-        v = _ct(_ct(y) @ b) / sb[:, :1, None] ** 2 - h * v
+        v *= ((sb[:, -1] / sb[:, 0]) ** 2 / 2)[:, None, None]  # h v
+        np.subtract(_ct(_ct(y) @ b) / sb[:, :1, None] ** 2, v, out=v)
         y = b @ v
-    del b, y, v, q, p, w, ub  # freed before the certificate's temporaries
+    del b, y, v  # freed before the certificate's temporaries
     return u, s, vh, fits & _certified(a, u * (s > tau)[:, None, :], tau)
 
 
@@ -253,7 +277,8 @@ def half_svt(stack, n3, tau, warm=None):
 
     Without a ``WarmStart`` every slice takes the full SVD. With one, while
     PARTIAL_SVD_FRACTION * l is at most min(n1, n2) for l = warm.rank +
-    OVERSAMPLE, each slice first gets its l leading triplets by shifted
+    OVERSAMPLE (a quarter of the slice width: 10 columns, a kept rank of 3, on
+    40-wide slices), each slice first gets its l leading triplets by shifted
     subspace iteration, started from the previous call's right singular
     vectors, then fixed-seed random columns. It is certified when those with
     s > tau leave a residual ||a v - u s||_F at most PARTIAL_SVD_TOL * ||a||_F
@@ -270,20 +295,32 @@ def half_svt(stack, n3, tau, warm=None):
     # The start basis; each batch's new right singular vectors replace its own.
     basis = np.empty((h, n2, 0), dtype=np.complex128)
     if warm is not None and PARTIAL_SVD_FRACTION * (warm.rank + OVERSAMPLE) <= min(n1, n2):
-        l = warm.rank + OVERSAMPLE
-        # A WarmStart last used on another shape starts from random columns.
-        if warm.basis is not None and warm.basis.shape[:2] == (h, n2):
-            basis = warm.basis[:, :, :l]
-        extra = np.random.default_rng(0).standard_normal((h, n2, l - basis.shape[2]))
-        basis = np.concatenate([basis, extra], axis=2, dtype=np.complex128)
+        l, old = warm.rank + OVERSAMPLE, warm.basis
+        if old is not None and old.shape == (h, n2, l) and old.dtype == np.complex128:
+            basis = old  # reused in place: each batch reads its start columns before it writes
+        else:
+            # A WarmStart last used on another shape starts from random columns.
+            if old is not None and old.shape[:2] == (h, n2):
+                basis = old[:, :, :l]
+            extra = np.random.default_rng(0).standard_normal((h, n2, l - basis.shape[2]))
+            basis = np.concatenate([basis, extra], axis=2, dtype=np.complex128)
+        del old  # not kept alive through the batches if it was not reused
     l = basis.shape[2]
-    if warm is not None:  # the previous basis is freed now, this one filled batch by batch
+    if warm is not None:  # a previous basis not reused is freed now; this one is filled batch by batch
         warm.basis = basis
+
+    def put(pos, u, s, vh):
+        """Write vh's leading rows and u max(s - tau, 0) vh; return the kept rank."""
+        basis[pos] = _ct(vh[:, :l])
+        u *= np.maximum(s - tau, 0.0)[:, None, :]
+        stack[pos] = u @ vh
+        return int(np.count_nonzero(s > tau, axis=1).max())
+
     rank = certified = 0
     for pos, a in _batches(n3, stack):
         idx, ok = np.arange(h)[pos], np.zeros(len(a), dtype=bool)
         if l:
-            start = basis[pos] if np.iscomplexobj(a) else basis[pos].real
+            start = basis[pos] if np.iscomplexobj(a) else basis.real[pos]
             # A non-finite or unconverged batch is left uncertified.
             with np.errstate(all="ignore"):
                 try:
@@ -291,14 +328,14 @@ def half_svt(stack, n3, tau, warm=None):
                 except np.linalg.LinAlgError:
                     pass
         certified += int(ok.sum())
-        parts = [(idx[ok], [t[ok] for t in triplets])] if ok.any() else []
-        if not ok.all():  # a[~ok] is a copy, a itself a view
-            parts.append((idx[~ok], _svd(a[~ok] if ok.any() else a, full_matrices=False)))
-        for pos, (u, s, vh) in parts:
-            rank = max(rank, int(np.count_nonzero(s > tau, axis=1).max()))
-            u *= np.maximum(s - tau, 0.0)[:, None, :]
-            stack[pos], basis[pos] = u @ vh, _ct(vh[:, :l])
-        del parts, u, s, vh  # freed before the next batch's iteration peaks
+        if ok.any():
+            rank = max(rank, put(idx[ok], *(t if ok.all() else t[ok] for t in triplets)))
+        triplets = None  # freed before the full SVD
+        # The full SVD of views, the whole batch or each uncertified slice alone,
+        # so that it copies no more of the batch than the exact path does.
+        views = [slice(i, i + 1) for i in np.flatnonzero(~ok)] if ok.any() else [slice(None)]
+        for view in views:
+            rank = max(rank, put(idx[view], *_svd(a[view], full_matrices=False)))
     if warm is not None:
         warm.rank = rank
         if l:

@@ -188,6 +188,24 @@ def test_partial_svd_counts_are_reported():
     assert sol.svd_certified + sol.svd_fallbacks <= sol.iters * (8 // 2 + 1)
 
 
+def test_forty_wide_slices_take_the_partial_path(monkeypatch):
+    # Rank 2 on 40 x 40 slices, as `tubalkit decompose` runs on a 40x40xn3
+    # file: the gate, 4 * (kept rank + OVERSAMPLE) <= 40, stays open on every
+    # call, and the partial path leaves the solve where the exact one takes it.
+    n3 = 6
+    l0 = gen_low_tubal_rank(40, 40, n3, 2, seed=7)
+    x = l0 + gen_sparse_bernoulli(40, 40, n3, 0.05, "rho", seed=8)
+    sol = solve(x)
+    slice_svds = sol.iters * (n3 // 2 + 1)
+    assert sol.svd_certified + sol.svd_fallbacks == slice_svds
+    assert sol.svd_certified >= 0.95 * slice_svds
+    monkeypatch.setattr(core, "PARTIAL_SVD_FRACTION", 41)  # shut: 41 * OVERSAMPLE > 40
+    exact = solve(x)
+    assert exact.svd_certified + exact.svd_fallbacks == 0
+    assert sol.iters == exact.iters
+    assert fro_norm(sol.l_hat - exact.l_hat) <= 1e-12 * fro_norm(exact.l_hat)
+
+
 def test_warm_solves_are_bit_identical():
     _, x = partial_svd_instance(1)
     _, other = partial_svd_instance(5)
