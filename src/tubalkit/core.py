@@ -46,9 +46,11 @@ def as_tensor3(a):
     return a
 
 
-def half_spectrum(a):
-    """Slices 0..n3 // 2 of a real tensor's mode-3 FFT, written straight in (h, n1, n2) C order."""
-    out = np.empty((a.shape[2] // 2 + 1, *a.shape[:2]), dtype=np.complex128)
+def half_spectrum(a, out=None):
+    """Slices 0..n3 // 2 of a real tensor's mode-3 FFT, written straight in (h, n1, n2) C order,
+    or into `out`, which may be a view such as the rows stack[:, rows] of a larger stack."""
+    if out is None:
+        out = np.empty((a.shape[2] // 2 + 1, *a.shape[:2]), dtype=np.complex128)
     np.fft.rfft(a, axis=2, out=np.moveaxis(out, 0, 2))
     return out
 
@@ -310,10 +312,14 @@ def half_svt(stack, n3, tau, warm=None):
         warm.basis = basis
 
     def put(pos, u, s, vh):
-        """Write vh's leading rows and u max(s - tau, 0) vh; return the kept rank."""
+        """Write vh's leading rows and u max(s - tau, 0) vh, in place when pos is
+        a whole complex block; return the kept rank."""
         basis[pos] = _ct(vh[:, :l])
         u *= np.maximum(s - tau, 0.0)[:, None, :]
-        stack[pos] = u @ vh
+        if isinstance(pos, slice):
+            np.matmul(u, vh, out=stack[pos])
+        else:
+            stack[pos] = u @ vh
         return int(np.count_nonzero(s > tau, axis=1).max())
 
     rank = certified = 0
@@ -329,13 +335,15 @@ def half_svt(stack, n3, tau, warm=None):
                     pass
         certified += int(ok.sum())
         if ok.any():
-            rank = max(rank, put(idx[ok], *(t if ok.all() else t[ok] for t in triplets)))
+            at = pos if ok.all() else idx[ok]
+            rank = max(rank, put(at, *(t if ok.all() else t[ok] for t in triplets)))
         triplets = None  # freed before the full SVD
         # The full SVD of views, the whole batch or each uncertified slice alone,
         # so that it copies no more of the batch than the exact path does.
-        views = [slice(i, i + 1) for i in np.flatnonzero(~ok)] if ok.any() else [slice(None)]
-        for view in views:
-            rank = max(rank, put(idx[view], *_svd(a[view], full_matrices=False)))
+        views = ([(idx[i:i + 1], slice(i, i + 1)) for i in np.flatnonzero(~ok)] if ok.any()
+                 else [(pos, slice(None))])
+        for at, view in views:
+            rank = max(rank, put(at, *_svd(a[view], full_matrices=False)))
     if warm is not None:
         warm.rank = rank
         if l:

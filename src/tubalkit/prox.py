@@ -6,8 +6,9 @@ on the averaged ones; applying it after averaging would not solve the nuclear
 norm proximal problem.
 
 ``tsvt`` thresholds through ``core.half_svt``: exactly, from every singular
-triplet, or, given the solver's ``core.WarmStart``, from certified partial
-SVDs where the kernel's policy allows them.
+triplet, or, given a ``core.WarmStart``, from certified partial SVDs where the
+kernel's policy allows them. The solver calls ``core.half_svt`` itself,
+between its own row-chunked transforms.
 """
 
 import numpy as np

@@ -11,11 +11,14 @@ schedule from mu = MU0 fixed as in the paper. Thresholding hands
 and keep few singular values, so a slice's leading triplets usually come from a
 certified partial SVD started from the previous iteration's, within ~1e-12 of
 the exact step; any other slice is thresholded exactly, from the full SVD. The
-loop holds four tensors: L, E, Y/mu and one scratch. Each prox writes its
-result over its argument, L's in the scratch and E's in the spent L, and the
-gap goes into the spent E, the next iteration's scratch. It stops when the
-successive changes of L and E and the feasibility gap are all below eps in max
-norm. Non-convergence is a reported outcome, not an exception:
+loop holds three tensors, L, E and Y/mu, and one half spectrum. Each iteration
+sweeps twice over chunks of rows of X, of at most ``core.BLOCK_BYTES``: the
+first transforms X - E - Y/mu into the half spectrum, which ``half_svt``
+thresholds in place, and the second transforms it back, writes L's and E's
+next rows over their spent ones and takes the gap and the dual step there. The
+FFTs act on tubes, so the chunks leave every byte as one sweep would. It stops
+when the successive changes of L and E and the feasibility gap are all below
+eps in max norm. Non-convergence is a reported outcome, not an exception:
 phase-transition experiments need failed cells as data points.
 """
 
@@ -25,9 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import WarmStart, as_tensor3, linf_norm
+from . import core
+from .core import WarmStart, as_tensor3, from_half_spectrum, half_spectrum, half_svt, linf_norm
 from .errors import NonFiniteInput
-from .prox import soft_threshold, tsvt
+from .prox import soft_threshold
 
 
 def default_lambda(n1, n2, n3):
@@ -93,31 +97,46 @@ def solve(x, cfg=None):
         cfg = SolverConfig()
     lam = cfg.lam if cfg.lam is not None else default_lambda(*x.shape)
 
+    n1, n2, n3 = x.shape
     l_cur = np.zeros_like(x)
     e_cur = np.zeros_like(x)
     shift = np.zeros_like(x)  # the scaled dual Y / mu
-    buf = np.empty_like(x)  # scratch: tsvt's argument, then L's next iterate
+    stack = np.empty((n3 // 2 + 1, n1, n2), dtype=np.complex128)  # the half spectrum L's prox works on
+    step = max(1, min(n1, core.BLOCK_BYTES // max(1, x.itemsize * n2 * n3)))  # rows per chunk
+    chunks = [slice(i, min(i + step, n1)) for i in range(0, n1, step)]
     history = []
     mu = MU0
     warm = WarmStart()
 
     for iters in range(1, cfg.max_iters + 1):
-        np.subtract(x, e_cur, out=buf)
-        l_new = tsvt(np.subtract(buf, shift, out=buf), 1.0 / mu, warm, out=buf)  # x - e_cur - shift
-        dl = linf_norm(np.subtract(l_new, l_cur, out=l_cur))  # into the spent iterates
-        np.subtract(x, l_new, out=l_cur)
-        e_new = soft_threshold(np.subtract(l_cur, shift, out=l_cur), lam / mu, out=l_cur)  # x - l_new - shift
-        de = linf_norm(np.subtract(e_new, e_cur, out=e_cur))
-        gap = np.subtract(np.add(l_new, e_new, out=e_cur), x, out=e_cur)  # l_new + e_new - x
-        dfit = linf_norm(gap)
+        mu_next = min(mu * RHO, MU_MAX)
+        a = buf = np.empty((step, n2, n3))  # the chunk temporary, a the rows in use
+        for rows in chunks:
+            a = np.subtract(x[rows], e_cur[rows], out=buf[:rows.stop - rows.start])
+            half_spectrum(np.subtract(a, shift[rows], out=a), out=stack[:, rows])  # x - e_cur - shift
+        del a, buf  # not kept through the thresholding
+        half_svt(stack, n3, 1.0 / mu, warm)
+        res = np.zeros(3)  # dl, de and dfit, the max over the chunks
+        a = buf = np.empty((step, n2, n3))
+        for rows in chunks:
+            l, e, s = l_cur[rows], e_cur[rows], shift[rows]
+            a = from_half_spectrum(stack[:, rows], n3, out=buf[:rows.stop - rows.start])  # l_new
+            dl = linf_norm(np.subtract(a, l, out=l))  # into the spent iterate's rows
+            np.copyto(l, a)
+            np.subtract(np.subtract(x[rows], l, out=a), s, out=a)  # x - l_new - shift
+            de = linf_norm(np.subtract(soft_threshold(a, lam / mu, out=a), e, out=e))  # e_new - e_cur
+            np.copyto(e, a)
+            np.subtract(np.add(l, e, out=a), x[rows], out=a)  # the gap l_new + e_new - x
+            np.maximum(res, (dl, de, linf_norm(a)), out=res)
+            s += a  # the dual step, unused if this iteration converges
+            s *= mu / mu_next
+        del a, buf
+        dl, de, dfit = res.tolist()
         history.append(max(dl, de, dfit))
-        l_cur, e_cur, buf = l_new, e_new, gap
         converged = dl <= cfg.eps and de <= cfg.eps and dfit <= cfg.eps
         if converged:
             break
-        shift += gap
-        mu_prev, mu = mu, min(mu * RHO, MU_MAX)
-        shift *= mu_prev / mu
+        mu = mu_next
 
     return Solution(
         l_hat=l_cur,

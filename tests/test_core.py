@@ -154,6 +154,21 @@ def test_half_spectrum_is_the_transposed_copy_written_in_place(n3, layout):
         assert back.tobytes() == from_half_spectrum_by_copy(s, n3).tobytes()
 
 
+@pytest.mark.parametrize("n3", [1, 7, 8])
+def test_half_spectrum_of_row_chunks_is_the_whole_tensors(n3):
+    # The solver transforms its tensors a few rows at a time into the rows of
+    # one stack, and back: here rows 0-2, 3-5 and 6 of 7.
+    a = np.random.default_rng(n3).normal(size=(7, 5, n3))
+    whole = half_spectrum(a)
+    stack, back = np.empty_like(whole), np.empty_like(a)
+    for rows in (slice(0, 3), slice(3, 6), slice(6, 7)):
+        view = stack[:, rows]
+        assert half_spectrum(a[rows], out=view) is view
+        from_half_spectrum(view, n3, out=back[rows])
+    assert stack.tobytes() == whole.tobytes()
+    assert back.tobytes() == from_half_spectrum(whole, n3).tobytes()
+
+
 # ── bcirc / bdiag / unfold / fold ────────────────────────────────────────────
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tubalkit import core, prox, solver
+from tubalkit import core, solver
 from tubalkit.core import fro_norm, linf_norm
 from tubalkit.decomposition import tubal_rank
 from tubalkit.solver import Solution, SolverConfig, default_lambda, solve
@@ -223,8 +223,9 @@ def test_warm_solves_are_bit_identical():
 def test_failed_certificates_reproduce_the_exact_path(monkeypatch):
     _, x = partial_svd_instance()
     with monkeypatch.context() as m:
-        m.setattr(solver, "tsvt", lambda y, tau, warm, out: prox.tsvt(y, tau, out=out))
+        m.setattr(solver, "half_svt", lambda stack, n3, tau, warm: core.half_svt(stack, n3, tau))
         exact = solve(x)
+    assert exact.svd_certified + exact.svd_fallbacks == 0
     monkeypatch.setattr(core, "_certified", lambda a, uk, tau: np.zeros(len(a), dtype=bool))
     sol = solve(x)
     assert sol.svd_certified == 0 and sol.svd_fallbacks > 0
@@ -261,11 +262,24 @@ def test_scaled_dual_matches_algorithm1_keeping_y(instance, max_iters):
     assert fro_norm(sol.e_hat - sparse) <= 1e-12 * fro_norm(sparse)
 
 
-@pytest.mark.parametrize("instance, sizes", [(partial_svd_instance, 8.0), (exact_path_instance, 8.25)],
+@pytest.mark.parametrize("instance, sizes", [(partial_svd_instance, 7.1), (exact_path_instance, 7.5)],
                          ids=["partial", "exact"])
-def test_solve_holds_one_dual_tensor(instance, sizes):
-    # L, E, Y / mu and one scratch tensor live through the solve, and each prox
-    # writes over its argument; an unscaled dual or a new array for either
-    # prox's result would lift either peak by one tensor size.
+def test_solve_holds_three_tensors(instance, sizes):
+    # L, E and Y / mu live through the solve, with the half spectrum that each
+    # iteration fills and reads back a chunk of rows at a time; an unscaled
+    # dual or a full-size scratch tensor would lift either peak by one tensor size.
     _, x = instance()
     assert traced_peak(lambda: solve(x)) <= sizes * x.nbytes
+
+
+@pytest.mark.parametrize("instance", [partial_svd_instance, exact_path_instance], ids=["partial", "exact"])
+def test_row_chunks_leave_the_solve_unchanged(monkeypatch, instance):
+    # One row per chunk and one slice per block, against one chunk of all rows.
+    _, x = instance()
+    whole = solve(x)
+    monkeypatch.setattr(core, "BLOCK_BYTES", 1)
+    chunked = solve(x)
+    assert chunked.iters == whole.iters and chunked.residual_history == whole.residual_history
+    assert (chunked.svd_certified, chunked.svd_fallbacks) == (whole.svd_certified, whole.svd_fallbacks)
+    assert chunked.l_hat.tobytes() == whole.l_hat.tobytes()
+    assert chunked.e_hat.tobytes() == whole.e_hat.tobytes()
