@@ -12,10 +12,10 @@ whose output is real by construction. Slice 0, and slice n3 // 2 when n3 is
 even, are their own conjugates and therefore real. ``half_matmul`` and
 ``half_svd``, the per-slice SVD behind every t-SVD and norm, keep them in
 real arithmetic, so for n3 = 1 every path reduces to the matrix computation
-bit for bit. ``half_svt``, the singular value thresholding behind every
-``tsvt``, does too, and overwrites the stack it is given. It alone decides
-when a slice may take a certified partial SVD, started from a
-``WarmStart``'s vectors, and thresholds every other slice exactly. The
+bit for bit. ``half_svt``, the singular value thresholding behind ``tsvt``
+and the solve, does too, and overwrites the stack it is given. It alone
+decides when a slice of the solve may take a certified partial SVD, started
+from its ``WarmStart``'s vectors, and thresholds every other slice exactly. The
 partial SVD is a shifted subspace iteration: each cycle is one Rayleigh-Ritz
 step and one step in a^H a, shifted so that it damps the singular values below
 the block's towards zero.
@@ -262,10 +262,11 @@ def _subspace_svd(a, v, tau):
 
 @dataclass
 class WarmStart:
-    """State that ``half_svt`` carries from one call to the next within a
-    solve: the leading right singular vectors of every half-spectrum slice and
-    the largest kept rank, plus the counts of slice SVDs the partial path
-    certified and of those that fell back to the exact SVD."""
+    """State that ``half_svt`` carries from one call to the next within one
+    solve, hence for one shape: the leading right singular vectors of every
+    half-spectrum slice and the largest kept rank, plus the counts of slice
+    SVDs the partial path certified and of those that fell back to the exact
+    SVD."""
 
     basis: np.ndarray | None = None  # (h, n2, l) right singular vectors
     rank: int = 0
@@ -294,20 +295,16 @@ def half_svt(stack, n3, tau, warm=None):
     slices.
     """
     h, n1, n2 = stack.shape
+    l = 0 if warm is None else warm.rank + OVERSAMPLE
+    if PARTIAL_SVD_FRACTION * l > min(n1, n2):
+        l = 0
     # The start basis; each batch's new right singular vectors replace its own.
-    basis = np.empty((h, n2, 0), dtype=np.complex128)
-    if warm is not None and PARTIAL_SVD_FRACTION * (warm.rank + OVERSAMPLE) <= min(n1, n2):
-        l, old = warm.rank + OVERSAMPLE, warm.basis
-        if old is not None and old.shape == (h, n2, l) and old.dtype == np.complex128:
-            basis = old  # reused in place: each batch reads its start columns before it writes
-        else:
-            # A WarmStart last used on another shape starts from random columns.
-            if old is not None and old.shape[:2] == (h, n2):
-                basis = old[:, :, :l]
-            extra = np.random.default_rng(0).standard_normal((h, n2, l - basis.shape[2]))
-            basis = np.concatenate([basis, extra], axis=2, dtype=np.complex128)
-        del old  # not kept alive through the batches if it was not reused
-    l = basis.shape[2]
+    basis = None if warm is None else warm.basis
+    if basis is None:
+        basis = np.empty((h, n2, 0), dtype=np.complex128)
+    if basis.shape[2] != l:  # else reused in place: each batch reads its start columns before it writes
+        extra = np.random.default_rng(0).standard_normal((h, n2, l - min(l, basis.shape[2])))
+        basis = np.concatenate([basis[:, :, :l], extra], axis=2, dtype=np.complex128)
     if warm is not None:  # a previous basis not reused is freed now; this one is filled batch by batch
         warm.basis = basis
 

@@ -5,10 +5,10 @@ The shrinkage inside ``tsvt`` acts on the Fourier-domain singular values, not
 on the averaged ones; applying it after averaging would not solve the nuclear
 norm proximal problem.
 
-``tsvt`` thresholds through ``core.half_svt``: exactly, from every singular
-triplet, or, given a ``core.WarmStart``, from certified partial SVDs where the
-kernel's policy allows them. The solver calls ``core.half_svt`` itself,
-between its own row-chunked transforms.
+``tsvt`` thresholds exactly, from every singular triplet, through
+``core.half_svt``. The solver calls ``core.half_svt`` itself, between its own
+row-chunked transforms, with the state that lets it take certified partial
+SVDs.
 """
 
 import numpy as np
@@ -29,22 +29,15 @@ def soft_threshold(x, kappa, *, out=None):
     return out if out.ndim else out[()]  # a scalar for a rank-0 input, as a ufunc returns
 
 
-def tsvt(y, tau, warm=None, *, out=None):
+def tsvt(y, tau):
     """Proximal operator of the tensor nuclear norm at threshold tau.
 
     Minimizes tau * ||x||_tnn + 0.5 * ||x - y||_F^2 by soft-thresholding the
     singular values of each half-spectrum slice and inverting the real FFT.
     For n3 = 1 this is matrix singular value thresholding, bit for bit.
-
-    With a ``core.WarmStart`` the result may come from the certified partial SVD,
-    within ~1e-12 of ||y||_F of the exact one, and updates ``warm``; use one
-    WarmStart per sequence of related calls, such as one solve.
-
-    The result is written into `out` if given, a float64 array of y's shape
-    in C order, which may be y itself: y is read in full before it is written.
     """
     if not tau >= 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     y = as_tensor3(y)
     n3 = y.shape[2]
-    return from_half_spectrum(half_svt(half_spectrum(y), n3, tau, warm), n3, out=out)
+    return from_half_spectrum(half_svt(half_spectrum(y), n3, tau), n3)

@@ -16,9 +16,9 @@ import tracemalloc
 
 import numpy as np
 
-from tubalkit.core import WarmStart, as_tensor3
+from tubalkit.core import WarmStart, as_tensor3, from_half_spectrum, half_spectrum, half_svt
 from tubalkit.errors import ShapeMismatch
-from tubalkit.prox import soft_threshold, tsvt
+from tubalkit.prox import soft_threshold
 from tubalkit.solver import MU0, MU_MAX, RHO
 
 # Residual imaginary mass below this (relative) is FFT rounding noise and is
@@ -88,13 +88,17 @@ def certified_by_fourth_power(a, uk, tau):
 
 def admm_keeping_dual(x, lam, eps=1e-8, max_iters=500):
     """Algorithm 1 as the paper writes it, keeping Y and subtracting Y / mu from
-    both prox arguments, with the solver's mu schedule and stopping rule and a
-    WarmStart of its own. Returns (L, E, iterations, certified, fallbacks)."""
+    both prox arguments, with the solver's mu schedule and stopping rule. L's
+    prox thresholds the whole half spectrum through ``half_svt`` with a
+    WarmStart of its own, as the solver does. Returns (L, E, iterations,
+    certified, fallbacks)."""
     warm = WarmStart()
+    n3 = x.shape[2]
     low, sparse, dual = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
     mu = MU0
     for iters in range(1, max_iters + 1):
-        low_new = tsvt(x - sparse - dual / mu, 1.0 / mu, warm)
+        spectrum = half_spectrum(x - sparse - dual / mu)
+        low_new = from_half_spectrum(half_svt(spectrum, n3, 1.0 / mu, warm), n3)
         sparse_new = soft_threshold(x - low_new - dual / mu, lam / mu)
         gap = low_new + sparse_new - x
         done = max(np.max(np.abs(low_new - low)), np.max(np.abs(sparse_new - sparse)),

@@ -254,7 +254,6 @@ def test_empty_third_mode_is_rejected():
     empty = np.ones((3, 3, 0))
     for call in (
         lambda: tsvt(empty, 0.5),
-        lambda: tsvt(empty, 0.5, WarmStart()),
         lambda: tprod(empty, empty),
         lambda: spectral_norm(empty),
         lambda: solve(empty, SolverConfig(lam=1.0)),
@@ -381,7 +380,7 @@ def test_uncertified_slices_are_thresholded_exactly(monkeypatch, n3):
     exact = half_svt(stack.copy(), n3, tau)
     # As many start columns as the gate lets through at min(n1, n2) = 90.
     l = 90 // core.PARTIAL_SVD_FRACTION
-    basis = rng.normal(size=(h, 90, l))
+    basis = rng.normal(size=(h, 90, l)).astype(np.complex128)  # as a solve hands it over
     warm = WarmStart(basis=basis, rank=l - core.OVERSAMPLE)
     # Within each batch (the real slices, then the complex ones) the first,
     # third, ... slice fails its certificate.
@@ -390,6 +389,7 @@ def test_uncertified_slices_are_thresholded_exactly(monkeypatch, n3):
                         lambda a, uk, tau: passes(a, uk, tau) & (np.arange(len(a)) % 2 == 1))
     out = half_svt(stack.copy(), n3, tau, warm)
     assert warm.basis.shape == basis.shape
+    assert warm.basis is basis  # a complex basis of l columns is reused in place
     # Each slice's kept count is the rank of its thresholded slice.
     s = np.linalg.svd(stack, compute_uv=False)
     kept = np.count_nonzero(s > tau, axis=1)
@@ -638,3 +638,5 @@ def test_no_knob_that_no_caller_sets():
     takes_tol = [name for name in tubalkit.__all__
                  if "rank_tol" in inspect.signature(getattr(tubalkit, name)).parameters]
     assert takes_tol == ["tubal_rank"]
+    # tsvt is the exact prox alone; the solver's warm start lives in core.half_svt.
+    assert list(inspect.signature(tubalkit.tsvt).parameters) == ["y", "tau"]
