@@ -18,14 +18,14 @@ decides when a slice of the solve may take a certified partial SVD, started
 from its ``WarmStart``'s vectors, and thresholds every other slice exactly. The
 partial SVD is a shifted subspace iteration: each cycle is one Rayleigh-Ritz
 step and one step in a^H a, shifted so that it damps the singular values below
-the block's towards zero.
+the block's towards zero, and a slice is certified at the cycle it stops.
 
-The kernels take the slices from ``_batches``: the real ones as one batch,
-the complex ones in contiguous blocks of at most BLOCK_BYTES, so their
-temporaries stay block-sized however long the spectrum is. No slice's result
-depends on the slices batched with it: the partial SVD stops each slice at the
-first cycle whose triplets fit, so the outputs are the same bytes for any
-block size.
+The kernels take the slices, and ``half_svt`` its start columns, from
+``_batches``: the real ones as one batch, the complex ones in contiguous blocks
+of at most BLOCK_BYTES, so their temporaries stay block-sized however long the
+spectrum is. No slice's result depends on the slices batched with it: the
+partial SVD stops and certifies each slice at the first cycle whose triplets
+fit, so the outputs are the same bytes for any block size.
 """
 
 from dataclasses import dataclass
@@ -178,36 +178,21 @@ def _fro_norms(x):
     return np.sqrt([np.vdot(m, m).real for m in x])
 
 
-def _certified(a, uk, tau):
-    """Whether, for each matrix of the batch a, the spectral norm of
-    w = (I - uk uk^H) a is below tau, by its upper bound ||(w^H w)^4||_F^(1/8).
-    It bounds the norm of what the triplets leave out, w (I - vk vk^H). The
-    bounds for p = 1 and 2 of ||(w^H w)^p||_F^(1/2p), a Schatten norm, never
-    smaller, decide first, so each power is formed only for undecided slices.
-    w, its Gram matrix w^H w (w w^H for a wide w) and the powers are formed one
-    matrix at a time into one batch g, which shrinks in place, so g is the only
-    batch-sized temporary."""
-    g = np.empty((len(a), *[min(a.shape[1:])] * 2), dtype=np.result_type(a, uk))
-    w = np.empty(a.shape[1:], dtype=g.dtype)
-    for x, u, gx in zip(a, uk, g):
-        np.subtract(x, np.matmul(u, _ct(u) @ x, out=w), out=w)
-        np.matmul(*((_ct(w), w) if w.shape[0] >= w.shape[1] else (w, _ct(w))), out=gx)
+def _certified(x, uk, tau):
+    """Whether the spectral norm of w = (I - uk uk^H) x is below tau, by its
+    upper bound ||(w^H w)^4||_F^(1/8). It bounds the norm of what the triplets
+    leave out, w (I - vk vk^H). The bounds for p = 1 and 2 of
+    ||(w^H w)^p||_F^(1/2p), a Schatten norm, never smaller, decide first, so
+    each power is formed only while undecided. g is the smaller Gram matrix,
+    w^H w, or w w^H for a wide w."""
+    w = x - uk @ (_ct(uk) @ x)
+    g = _ct(w) @ w if w.shape[0] >= w.shape[1] else w @ _ct(w)
     g /= tau * tau
-    ok = fits = _fro_norms(g) < 1.0
-    left = np.arange(len(g))
-    for _ in range(2):  # p = 2, then 4; g shrinks in place to the undecided slices, left
-        left, g = left[~fits], _shrink(g, np.flatnonzero(~fits))
-        for gx in g:
-            gx[...] = gx @ gx
-        ok[left] = fits = _fro_norms(g) < 1.0
-    return ok
-
-
-def _shrink(t, keep):
-    """t[keep] for increasing indices keep, moved over the leading rows of t."""
-    for j, i in enumerate(keep):
-        t[j] = t[i]
-    return t[:len(keep)]
+    for _ in range(2):  # p = 1, then 2
+        if _fro_norms([g])[0] < 1.0:
+            return True
+        g = g @ g
+    return bool(_fro_norms([g])[0] < 1.0)
 
 
 def _subspace_svd(a, v, tau):
@@ -219,16 +204,17 @@ def _subspace_svd(a, v, tau):
     u^H a = s v^H; then, unless the triplets fit, one shifted step
     v <- (a^H a / s_1^2 - h) v, h = (s_l / s_1)^2 / 2, which maps the Ritz
     values below s_l into [-h, h] and s_1 to 1 - h. A matrix stops at the
-    first cycle whose triplets fit and keeps them, or after PARTIAL_SVD_CYCLES
-    cycles, so its result does not depend on the rest of the batch. The (n, l)
-    temporaries are freed or overwritten where they die, so that few of them
-    are alive at once."""
+    first cycle whose triplets fit, keeps them and is certified there by
+    ``_certified``; one that does not fit within PARTIAL_SVD_CYCLES cycles is
+    not certified. So its result does not depend on the rest of the batch.
+    The (n, l) temporaries are freed or overwritten where they die, so that
+    few of them are alive at once."""
     # Contiguous, as the active subsets below are, so that a matrix meets the
     # same layouts in a batch and alone, also for a strided batch.
     a, v = np.ascontiguousarray(a), np.ascontiguousarray(v)
     (m, n1, n2), l = a.shape, v.shape[2]
     u, s = np.empty((m, n1, l), dtype=np.result_type(a, v)), np.empty((m, l))
-    vh, fits = np.empty((m, l, n2), dtype=u.dtype), np.zeros(m, dtype=bool)
+    vh, ok = np.empty((m, l, n2), dtype=u.dtype), np.zeros(m, dtype=bool)
     scale = _fro_norms(a)
     act, b = np.arange(m), a  # the matrices still stepping
     y = a @ v
@@ -244,20 +230,20 @@ def _subspace_svd(a, v, tau):
         u[act], s[act], vh[act] = r, sb, _ct(v)
         np.subtract(y, np.multiply(r, sb[:, None, :], out=r), out=r)  # a v - u s
         r *= (sb > tau)[:, None, :]
-        fits[act] = fit = _fro_norms(r) <= PARTIAL_SVD_TOL * scale[act]
+        fit = _fro_norms(r) <= PARTIAL_SVD_TOL * scale[act]
         del r
+        for i in act[fit]:
+            ok[i] = _certified(a[i], u[i] * (s[i] > tau), tau)
         if fit.all() or cycle == PARTIAL_SVD_CYCLES - 1:
             break
-        if fit.any():  # b becomes a copy of a's rows the first time, then shrinks in place
-            keep = np.flatnonzero(~fit)
-            b = a[keep] if b is a else _shrink(b, keep)
-            act, y, v, sb = (t[keep] for t in (act, y, v, sb))
+        if fit.any():
+            act, y, v, sb = (t[~fit] for t in (act, y, v, sb))
+            b = a[act]
         # A matrix that does not fit keeps some s > tau >= 0, so s_1 > 0.
         v *= ((sb[:, -1] / sb[:, 0]) ** 2 / 2)[:, None, None]  # h v
         np.subtract(_ct(_ct(y) @ b) / sb[:, :1, None] ** 2, v, out=v)
         y = b @ v
-    del b, y, v  # freed before the certificate's temporaries
-    return u, s, vh, fits & _certified(a, u * (s > tau)[:, None, :], tau)
+    return u, s, vh, ok
 
 
 @dataclass
@@ -320,10 +306,9 @@ def half_svt(stack, n3, tau, warm=None):
         return int(np.count_nonzero(s > tau, axis=1).max())
 
     rank = certified = 0
-    for pos, a in _batches(n3, stack):
+    for pos, a, start in _batches(n3, stack, basis):
         idx, ok = np.arange(h)[pos], np.zeros(len(a), dtype=bool)
         if l:
-            start = basis[pos] if np.iscomplexobj(a) else basis.real[pos]
             # A non-finite or unconverged batch is left uncertified.
             with np.errstate(all="ignore"):
                 try:

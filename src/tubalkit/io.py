@@ -19,6 +19,7 @@ from .errors import (
     BadMagic,
     DimensionOverflow,
     MalformedHeader,
+    NonFiniteInput,
     ShapeMismatch,
     Truncated,
     UnsupportedFormat,
@@ -119,11 +120,14 @@ def image_to_tensor(ppm_bytes):
 
 def tensor_to_image(a):
     """Encode an (n1, n2, 3) tensor as P6 bytes: clamp to [0, 1], scale to
-    0..255, round half up."""
+    0..255, round half up. An empty image or a non-finite entry, which no
+    pixel value stands for, is rejected."""
     a = as_tensor3(a)
     n1, n2, n3 = a.shape
-    if n3 != 3:
-        raise ShapeMismatch(f"image tensor needs 3 channels, got {n3}")
+    if n3 != 3 or a.size == 0:
+        raise ShapeMismatch(f"image tensor needs n1, n2 >= 1 and 3 channels, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFiniteInput("image tensor contains NaN or Inf")
     levels = np.floor(np.clip(a, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
     header = f"P6\n{n2} {n1}\n255\n".encode()
     return header + levels.tobytes()
@@ -181,19 +185,29 @@ def psnr(reference, estimate):
     """Peak signal-to-noise ratio in dB, with the reference max-norm as peak.
 
     Returns math.inf when the estimate matches the reference exactly; report
-    writers render that sentinel as the string "exact".
+    writers render that sentinel as the string "exact". Any other pair of
+    finite tensors gets a finite value: the error is scaled by its max-norm
+    before it is squared, and halved first if the difference overflows. A
+    non-finite entry is a NonFiniteInput.
     """
     reference = as_tensor3(reference)
     estimate = as_tensor3(estimate)
     if reference.shape != estimate.shape:
         raise ShapeMismatch(f"shape {reference.shape} vs {estimate.shape}")
+    if not (np.isfinite(reference).all() and np.isfinite(estimate).all()):
+        raise NonFiniteInput("PSNR input contains NaN or Inf")
     peak = linf_norm(reference)
     if peak == 0.0:
         raise ZeroReference("PSNR reference has zero peak")
-    mse = float(np.mean((estimate - reference) ** 2))
-    if mse == 0.0:
+    with np.errstate(over="ignore"):
+        err, scale = estimate - reference, 1.0
+    if np.isinf(err).any():  # finite operands whose difference overflows
+        err, scale = estimate / 2 - reference / 2, 2.0
+    top = linf_norm(err)
+    if top == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak**2 / mse)
+    mse = float(np.mean(np.square(err / top)))  # in [1 / size, 1]
+    return 20.0 * (math.log10(peak) - math.log10(top) - math.log10(scale)) - 10.0 * math.log10(mse)
 
 
 def _report_values(fields):

@@ -333,8 +333,8 @@ def test_tiered_certificate_decides_as_the_fourth_power_bound(monkeypatch, n1, n
     taus = [b * f for b in bounds[:, :3].ravel() for f in (1 - 1e-6, 1 + 1e-6)]
     # Between them the flat residual is decided by p = 1, 2, 4 and by none.
     assert {next((p for p in range(3) if bounds[p, 1] < tau), 3) for tau in taus} == {0, 1, 2, 3}
-    # Each call records the batch sizes whose Gram powers it tests: every
-    # slice at p = 1, and at p = 2 and 4 only those still undecided.
+    # Each call records the Gram powers it tests: p = 1, and p = 2 and 4 only
+    # while undecided, one more for each lower bound at or above tau.
     tested = []
     norms = core._fro_norms
 
@@ -344,9 +344,11 @@ def test_tiered_certificate_decides_as_the_fourth_power_bound(monkeypatch, n1, n
 
     monkeypatch.setattr(core, "_fro_norms", counted)
     for tau in taus:
-        tested.clear()
-        ok = core._certified(a, uk, tau)
-        assert tested == [len(a), *(int(np.sum(bounds[p] >= tau)) for p in range(2))], tau
+        ok = []
+        for i in range(len(a)):
+            tested.clear()
+            ok.append(core._certified(a[i], uk[i], tau))
+            assert tested == [1] * (1 + int(np.sum(bounds[:2, i] >= tau))), (tau, i)
         assert np.array_equal(ok, certified_by_fourth_power(a, uk, tau)), tau
         assert np.array_equal(ok, bounds[2] < tau), tau
 
@@ -366,7 +368,8 @@ def test_tiered_certificate_property(n1, n2, batch, k, complex_, seed, tier, nud
     # tau near the first slice's bound for p = 1, 2 or 4, or far from it.
     bound = schatten_bounds(np.linalg.svd(w, compute_uv=False))[tier, 0]
     tau = bound * (1 + nudge) if bound > 1e-8 * fro_norm(a) else 1.0
-    assert np.array_equal(core._certified(a, uk, tau), certified_by_fourth_power(a, uk, tau))
+    ok = [core._certified(x, u, tau) for x, u in zip(a, uk)]
+    assert np.array_equal(ok, certified_by_fourth_power(a, uk, tau))
 
 
 @pytest.mark.parametrize("n3", [1, 2, 5, 6])
@@ -382,11 +385,12 @@ def test_uncertified_slices_are_thresholded_exactly(monkeypatch, n3):
     l = 90 // core.PARTIAL_SVD_FRACTION
     basis = rng.normal(size=(h, 90, l)).astype(np.complex128)  # as a solve hands it over
     warm = WarmStart(basis=basis, rank=l - core.OVERSAMPLE)
-    # Within each batch (the real slices, then the complex ones) the first,
-    # third, ... slice fails its certificate.
+    # Among the real slices, then the complex ones, the first, third, ...
+    # slice fails its certificate, told apart by its content.
+    failed = [*core.real_slices(n3)[::2], *np.arange(h)[core.complex_slices(n3)][::2]]
     passes = core._certified
-    monkeypatch.setattr(core, "_certified",
-                        lambda a, uk, tau: passes(a, uk, tau) & (np.arange(len(a)) % 2 == 1))
+    monkeypatch.setattr(core, "_certified", lambda x, uk, tau: passes(x, uk, tau) and not any(
+        np.array_equal(x, stack[k]) for k in failed))
     out = half_svt(stack.copy(), n3, tau, warm)
     assert warm.basis.shape == basis.shape
     assert warm.basis is basis  # a complex basis of l columns is reused in place
@@ -395,7 +399,6 @@ def test_uncertified_slices_are_thresholded_exactly(monkeypatch, n3):
     kept = np.count_nonzero(s > tau, axis=1)
     assert np.array_equal(np.linalg.matrix_rank(out, tol=1e-9 * s.max()), kept)
     assert warm.rank == kept.max()
-    failed = [*core.real_slices(n3)[::2], *np.arange(h)[core.complex_slices(n3)][::2]]
     assert (warm.certified, warm.fallbacks) == (h - len(failed), len(failed))
     assert np.array_equal(out[failed], exact[failed])
     assert fro_norm(out - exact) <= 1e-10 * fro_norm(exact)
@@ -476,6 +479,27 @@ def test_warm_path_certifies_hard_spectra(kind):
         out = half_svt(stack.copy(), n3, 1.0, warm)
         assert (warm.certified, warm.fallbacks) == (6 * call, 0), call
         assert fro_norm(out - exact) <= 1e-12 * fro_norm(exact), call
+
+
+def test_a_slice_that_never_fits_is_not_certified_but_thresholded_exactly(monkeypatch):
+    # Three 40 x 40 slices (n3 = 5: slice 0 real, 1 and 2 complex, one block).
+    # Slice 1's values fall evenly from 3 to 2, each under 1% below the last,
+    # so its triplets cannot fit within PARTIAL_SVD_CYCLES cycles; the others
+    # have rank 3 and fit at once.
+    n3, rng, rank3 = 5, np.random.default_rng(27), np.r_[30.0, 20.0, 10.0, np.zeros(37)]
+    spectra = [rank3, np.linspace(3.0, 2.0, 40), rank3]
+    stack = np.array([(unitary(rng, 40, k > 0) * s) @ np.conj(unitary(rng, 40, k > 0).T)
+                      for k, s in enumerate(spectra)])
+    exact = half_svt(stack.copy(), n3, 1.0)
+    seen, passes = [], core._certified
+    monkeypatch.setattr(core, "_certified", lambda x, uk, tau: seen.append(x.copy()) or passes(x, uk, tau))
+    warm = WarmStart(rank=3)
+    out = half_svt(stack.copy(), n3, 1.0, warm)
+    assert (warm.certified, warm.fallbacks) == (2, 1)
+    assert [x.shape for x in seen] == [(40, 40)] * 2
+    assert not any(np.array_equal(x, stack[1]) for x in seen)
+    assert out[1].tobytes() == exact[1].tobytes()
+    assert fro_norm(out - exact) <= 1e-12 * fro_norm(exact)
 
 
 def test_shifted_step_certifies_a_solver_spectrum_in_six_cycles(monkeypatch):
@@ -573,11 +597,9 @@ def test_only_core_calls_the_fft_and_the_svd():
                     assert not reaches_kernel(f"{node.module}.{alias.name}"), (name, alias.name)
 
 
-def test_only_batches_and_half_weights_read_the_real_slices():
-    # _batches applies the real/complex split for every slice-wise kernel and
-    # half_weights turns it into slice multiplicities; any other reader would
-    # be a second copy of that decision.
-    split = {"real_slices", "complex_slices"}
+def readers_of(names):
+    """(module, function) for every function of the package that names one of
+    `names`, as a name or as an attribute."""
     readers = set()
 
     def visit(node, module, func):
@@ -586,13 +608,28 @@ def test_only_batches_and_half_weights_read_the_real_slices():
                 visit(child, module, child.name)
                 continue
             used = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
-            if isinstance(child, (ast.Name, ast.Attribute)) and used in split:
+            if isinstance(child, (ast.Name, ast.Attribute)) and used in names:
                 readers.add((module, func))
             visit(child, module, func)
 
     for name, tree in package_trees():
         visit(tree, name, None)
+    return readers
+
+
+def test_only_batches_and_half_weights_read_the_real_slices():
+    # _batches applies the real/complex split for every slice-wise kernel and
+    # half_weights turns it into slice multiplicities; any other reader would
+    # be a second copy of that decision.
+    readers = readers_of({"real_slices", "complex_slices"})
     assert readers == {("core.py", "_batches"), ("core.py", "half_weights")}
+
+
+def test_only_the_input_checks_ask_whether_an_array_is_complex():
+    # Inside the kernels the real/complex split is _batches' alone; asking an
+    # array for its dtype elsewhere would be a second copy of it.
+    assert readers_of({"iscomplexobj"}) == {
+        ("core.py", "as_tensor3"), ("core.py", "linf_norm"), ("prox.py", "soft_threshold")}
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():

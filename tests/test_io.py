@@ -17,6 +17,7 @@ from tubalkit.errors import (
     DataError,
     DimensionOverflow,
     MalformedHeader,
+    NonFiniteInput,
     ShapeMismatch,
     Truncated,
     UnsupportedFormat,
@@ -259,6 +260,21 @@ def test_tensor_to_image_needs_three_channels():
         io.tensor_to_image(np.zeros((2, 2, 4)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tensor_to_image_rejects_non_finite_entries(bad):
+    a = np.full((2, 2, 3), 0.5)
+    a[1, 0, 2] = bad
+    with pytest.raises(NonFiniteInput):
+        io.tensor_to_image(a)
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 3), (2, 0, 3)])
+def test_tensor_to_image_rejects_an_empty_image(shape):
+    # Its header would carry a size that image_to_tensor rejects.
+    with pytest.raises(ShapeMismatch):
+        io.tensor_to_image(np.zeros(shape))
+
+
 # ── corruption ───────────────────────────────────────────────────────────────
 
 
@@ -326,6 +342,30 @@ def test_psnr_errors():
         io.psnr(np.ones((2, 2, 2)), np.ones((2, 2, 3)))
     with pytest.raises(ZeroReference):
         io.psnr(np.zeros((2, 2, 2)), np.ones((2, 2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["reference", "estimate"])
+def test_psnr_rejects_non_finite_input(where, bad):
+    ref, est = np.ones((2, 2, 2)), np.full((2, 2, 2), 0.9)
+    (ref if where == "reference" else est)[0, 1, 1] = bad
+    with pytest.raises(NonFiniteInput):
+        io.psnr(ref, est)
+
+
+def test_psnr_of_huge_and_tiny_finite_input_is_finite():
+    ref = np.ones((10, 10, 3))
+    est = ref - 0.1
+    for c in (1e200, 2.0 ** 1000, 2.0 ** -1000, 1e-310):
+        assert np.isclose(io.psnr(c * ref, c * est), 20.0), c
+    # One huge entry: its error dominates the mean square.
+    big = est.copy()
+    big[0, 0, 0] = 1e200
+    assert np.isclose(io.psnr(ref, big), -10.0 * (400 - math.log10(300)))
+    # A difference that overflows: peak 1e308, every error 2e308.
+    huge = np.full((2, 2, 2), 1e308)
+    assert np.isclose(io.psnr(huge, -huge), -20.0 * math.log10(2.0))
+    assert io.psnr(huge, huge.copy()) == math.inf
 
 
 # ── reports ──────────────────────────────────────────────────────────────────
