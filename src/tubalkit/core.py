@@ -21,11 +21,11 @@ step and one step in a^H a, shifted so that it damps the singular values below
 the block's towards zero, and a slice is certified at the cycle it stops.
 
 The kernels take the slices, and ``half_svt`` its start columns, from
-``_batches``: the real ones as one batch, the complex ones in contiguous blocks
-of at most BLOCK_BYTES, so their temporaries stay block-sized however long the
-spectrum is. No slice's result depends on the slices batched with it: the
-partial SVD stops and certifies each slice at the first cycle whose triplets
-fit, so the outputs are the same bytes for any block size.
+``_batches`` at basic slices: each real one alone, the complex ones in
+contiguous blocks of at most BLOCK_BYTES, so their temporaries stay block-sized
+however long the spectrum is. No slice's result depends on the slices batched
+with it: the partial SVD stops and certifies each slice at the first cycle
+whose triplets fit, so the outputs are the same bytes for any block size.
 """
 
 from dataclasses import dataclass
@@ -99,12 +99,13 @@ BLOCK_BYTES = 1 << 19
 
 
 def _batches(n3, *stacks):
-    """(positions, the slices of each stack there) over the half spectrum, the
-    one place that splits it: the real slices as one batch, a contiguous copy of
-    their real parts, then the complex ones in contiguous blocks, views, of at
-    most BLOCK_BYTES of the widest stack's slices (one slice at least)."""
-    real, cx = real_slices(n3), complex_slices(n3)
-    yield real, *(s.real[real] for s in stacks)
+    """(position, the slices of each stack there) over the half spectrum, the
+    one place that splits it, at basic slices: each real one alone, a copy of
+    its real part in the stack's layout, then the complex ones in contiguous
+    blocks, views, of at most BLOCK_BYTES of the widest stack's slices."""
+    for k in real_slices(n3):
+        yield slice(k, k + 1), *(s.real[k:k + 1].copy("K") for s in stacks)
+    cx = complex_slices(n3)
     step = max(1, BLOCK_BYTES // max(1, *(s[0].nbytes for s in stacks)))
     for start in range(cx.start, cx.stop, step):
         pos = slice(start, min(start + step, cx.stop))
@@ -275,10 +276,10 @@ def half_svt(stack, n3, tau, warm=None):
     norm of what they leave out is below tau; because the prox is
     nonexpansive, the result is then within that residual of the exact one.
     Every other slice, NaN included, takes the full SVD and the same rebuild
-    as without a ``WarmStart``, so it is thresholded exactly. The real slices
-    stay in real arithmetic. ``warm`` keeps the l leading right singular
-    vectors, the largest kept rank and the counts of certified and fallen-back
-    slices.
+    as without a ``WarmStart``, so it is thresholded exactly. Every slice is
+    rebuilt in place, a real one in real arithmetic. ``warm`` keeps the l
+    leading right singular vectors, the largest kept rank and the counts of
+    certified and fallen-back slices.
     """
     h, n1, n2 = stack.shape
     l = 0 if warm is None else warm.rank + OVERSAMPLE
@@ -294,20 +295,9 @@ def half_svt(stack, n3, tau, warm=None):
     if warm is not None:  # a previous basis not reused is freed now; this one is filled batch by batch
         warm.basis = basis
 
-    def put(pos, u, s, vh):
-        """Write vh's leading rows and u max(s - tau, 0) vh, in place when pos is
-        a whole complex block; return the kept rank."""
-        basis[pos] = _ct(vh[:, :l])
-        u *= np.maximum(s - tau, 0.0)[:, None, :]
-        if isinstance(pos, slice):
-            np.matmul(u, vh, out=stack[pos])
-        else:
-            stack[pos] = u @ vh
-        return int(np.count_nonzero(s > tau, axis=1).max())
-
     rank = certified = 0
     for pos, a, start in _batches(n3, stack, basis):
-        idx, ok = np.arange(h)[pos], np.zeros(len(a), dtype=bool)
+        ok, triplets = np.zeros(len(a), dtype=bool), None
         if l:
             # A non-finite or unconverged batch is left uncertified.
             with np.errstate(all="ignore"):
@@ -316,16 +306,20 @@ def half_svt(stack, n3, tau, warm=None):
                 except np.linalg.LinAlgError:
                     pass
         certified += int(ok.sum())
-        if ok.any():
-            at = pos if ok.all() else idx[ok]
-            rank = max(rank, put(at, *(t if ok.all() else t[ok] for t in triplets)))
-        triplets = None  # freed before the full SVD
-        # The full SVD of views, the whole batch or each uncertified slice alone,
-        # so that it copies no more of the batch than the exact path does.
-        views = ([(idx[i:i + 1], slice(i, i + 1)) for i in np.flatnonzero(~ok)] if ok.any()
-                 else [(pos, slice(None))])
-        for at, view in views:
-            rank = max(rank, put(at, *_svd(a[view], full_matrices=False)))
+        # A mixed batch goes one slice at a time, the certified ones first, so that
+        # the full SVD copies no more of the batch than the exact path does.
+        parts = [slice(i, i + 1) for i in np.argsort(~ok, kind="stable")]
+        for view in [slice(None)] if ok.all() or not ok.any() else parts:
+            if ok[view].all():
+                u, s, vh = (t[view] for t in triplets)
+            else:
+                triplets = None  # freed before the full SVD
+                u, s, vh = _svd(a[view], full_matrices=False)
+            basis[pos][view] = _ct(vh[:, :l])
+            u *= np.maximum(s - tau, 0.0)[:, None, :]
+            np.matmul(u, vh, out=stack[pos][view])
+            rank = max(rank, int(np.count_nonzero(s > tau, axis=1).max()))
+            del u, s, vh  # freed before the next part's SVD
     if warm is not None:
         warm.rank = rank
         if l:

@@ -440,7 +440,7 @@ def test_subspace_svd_of_a_slice_does_not_depend_on_its_batch(kind):
     else:
         rng, tau = np.random.default_rng(22), 5.0
         a, v = graded_batch(6, 40, kind == "complex", rng), rng.normal(size=(6, 40, 8))
-    if kind == "real":  # laid out as _batches hands over the real slices, a strided view
+    if kind == "real":  # a strided view, as the real part of a complex stack is
         a = (a + 0j).real
     batched = core._subspace_svd(a, v, tau)
     assert batched[3].all()
@@ -553,6 +553,40 @@ def test_half_svt_temporaries_stay_block_sized(n3, warm):
     assert not warm or state.certified == 2 * len(stack)
     # Beyond the start basis, whose size is the warm state's, not a temporary.
     assert peak - (state.basis.nbytes if warm else 0) <= 3.5 * core.BLOCK_BYTES
+
+
+@pytest.mark.parametrize("n3", [1, 2, 3, 8, 9])
+@pytest.mark.parametrize("widths", [(6,), (6, 2)], ids=["one-stack", "two-stacks"])
+def test_batches_sit_at_basic_slices(monkeypatch, n3, widths):
+    # Every position is a step-1 slice, so a kernel writes each batch back
+    # through a view, in place. The positions cover the half spectrum once;
+    # a real slice comes alone, as a copy of its real part (C-contiguous, as
+    # the stacks are), and the complex ones as views, two of the widest
+    # stack's slices at a time.
+    monkeypatch.setattr(core, "BLOCK_BYTES", 2 * 5 * 6 * 16)
+    h, rng = n3 // 2 + 1, np.random.default_rng(n3)
+    stacks = [rng.normal(size=(h, 5, w)) + 1j * rng.normal(size=(h, 5, w)) for w in widths]
+    seen = []
+    for pos, *parts in core._batches(n3, *stacks):
+        assert type(pos) is slice and pos.step in (None, 1), pos
+        at = range(h)[pos]
+        seen += at
+        real = bool(set(at) & {0, n3 / 2})
+        assert len(at) == 1 if real else len(at) <= 2
+        for stack, part in zip(stacks, parts):
+            if real:
+                assert part.dtype == np.float64 and part.flags.c_contiguous
+                assert np.array_equal(part, stack[pos].real)
+            else:
+                assert np.shares_memory(part, stack) and np.array_equal(part, stack[pos])
+    assert sorted(seen) == list(range(h))
+
+
+def test_exact_half_svt_rebuilds_real_slices_in_place():
+    # n3 = 2: both slices are real. Each is copied, decomposed and rebuilt
+    # into the stack alone, so no second spectrum is ever held.
+    stack = half_spectrum(np.random.default_rng(27).normal(size=(300, 300, 2)))
+    assert traced_peak(lambda: half_svt(stack, 2, 1.0)) <= 1.25 * stack.nbytes
 
 
 # ── layering ─────────────────────────────────────────────────────────────────

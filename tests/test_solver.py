@@ -1,6 +1,11 @@
 """ADMM solver: convergence, determinism, defaults, matrix reduction."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,3 +288,36 @@ def test_row_chunks_leave_the_solve_unchanged(monkeypatch, instance):
     assert (chunked.svd_certified, chunked.svd_fallbacks) == (whole.svd_certified, whole.svd_fallbacks)
     assert chunked.l_hat.tobytes() == whole.l_hat.tobytes()
     assert chunked.e_hat.tobytes() == whole.e_hat.tobytes()
+
+
+THREADS_CHILD = """
+import json, sys
+import numpy as np
+from tubalkit.solver import solve
+from tubalkit.synth import gen_low_tubal_rank, gen_sparse_bernoulli
+x = gen_low_tubal_rank(100, 100, 10, 5, seed=5) + gen_sparse_bernoulli(100, 100, 10, 0.05, "rho", seed=6)
+sol = solve(x)
+np.save(sys.argv[1], np.stack([sol.l_hat, sol.e_hat]))
+print(json.dumps([sol.iters, sol.svd_certified, sol.svd_fallbacks]))
+"""
+
+
+def test_solve_agrees_across_blas_thread_counts(tmp_path):
+    # Reports are byte-identical only under one BLAS library and thread count:
+    # BLAS on more threads may sum in another order. Across thread counts a
+    # solve keeps its iterations and counts, and its outputs agree to rounding.
+    # Each child gets its thread count in its environment; the library reads none.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads{threads}.npy"
+        child = subprocess.run([sys.executable, "-c", THREADS_CHILD, str(out)], env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        runs.append((json.loads(child.stdout), np.load(out)))
+    (counts_1, (l_1, e_1)), (counts_2, (l_2, e_2)) = runs
+    assert counts_1 == counts_2
+    assert fro_norm(l_2 - l_1) <= 1e-12 * fro_norm(l_1)
+    assert fro_norm(e_2 - e_1) <= 1e-12 * fro_norm(e_1)
