@@ -555,6 +555,20 @@ def test_half_svt_temporaries_stay_block_sized(n3, warm):
     assert peak - (state.basis.nbytes if warm else 0) <= 3.5 * core.BLOCK_BYTES
 
 
+def test_uncertified_block_frees_its_triplets_before_the_full_svd(monkeypatch):
+    # Two 128 x 128 complex slices fill a block. Its full SVD holds 2.5 blocks;
+    # the partial triplets of l = 32 columns, kept alive through it, add half a block.
+    n3 = 30
+    y = gen_low_tubal_rank(128, 128, n3, 3, seed=n3) + 1e-3 * np.random.default_rng(n3).normal(size=(128, 128, n3))
+    stack, h, l = half_spectrum(y), n3 // 2 + 1, 128 // core.PARTIAL_SVD_FRACTION
+    basis = np.random.default_rng(n3).normal(size=(h, 128, l)).astype(np.complex128)
+    state = WarmStart(basis=basis, rank=l - core.OVERSAMPLE)  # reused in place
+    monkeypatch.setattr(core, "_certified", lambda x, uk, tau: False)
+    peak = traced_peak(lambda: half_svt(stack, n3, 1.0, state))
+    assert state.basis is basis and (state.certified, state.fallbacks) == (0, h)
+    assert peak <= 2.75 * core.BLOCK_BYTES
+
+
 @pytest.mark.parametrize("n3", [1, 2, 3, 8, 9])
 @pytest.mark.parametrize("widths", [(6,), (6, 2)], ids=["one-stack", "two-stacks"])
 def test_batches_sit_at_basic_slices(monkeypatch, n3, widths):
