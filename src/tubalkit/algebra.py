@@ -6,11 +6,9 @@ computed as per-slice matrix products of the two real-FFT half spectra,
 followed by the inverse real FFT.
 """
 
-import numbers
-
 import numpy as np
 
-from .core import as_tensor3, from_half_spectrum, half_matmul, half_spectrum
+from .core import as_tensor3, from_half_spectrum, half_matmul, half_spectrum, is_integer
 from .errors import ShapeMismatch
 
 
@@ -33,7 +31,7 @@ def ctranspose(a):
 
 def identity_tensor(n, n3):
     """n x n x n3 tensor whose slice 0 is the identity, other slices zero."""
-    if not all(isinstance(d, numbers.Integral) for d in (n, n3)) or n < 1 or n3 < 1:
+    if not all(map(is_integer, (n, n3))) or n < 1 or n3 < 1:
         raise ShapeMismatch(f"identity tensor needs positive integer dims, got ({n}, {n3})")
     out = np.zeros((n, n, n3))
     out[:, :, 0] = np.eye(n)

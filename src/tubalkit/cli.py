@@ -88,8 +88,14 @@ def _emit_report(args, x, sol, fields):
     """Write the report, the solve fields every command shares plus its own,
     to --report or stdout; return the exit code the solve earned."""
     n1, n2, n3 = x.shape
+    try:  # reports are byte-identical only under one BLAS, so they name it
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):  # numpy keeps no such record: the field is left out
+        blas = None
     text = io.render_report({
         "n1": n1, "n2": n2, "n3": n3,
+        "blas": blas,
         "lambda": sol.lam,
         "iters": sol.iters,
         "converged": sol.converged,

@@ -28,6 +28,7 @@ with it: the partial SVD stops and certifies each slice at the first cycle
 whose triplets fit, so the outputs are the same bytes for any block size.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,12 @@ def as_tensor3(a):
     if a.ndim != 3 or a.shape[2] == 0:
         raise ShapeMismatch(f"expected a 3-way tensor with n3 >= 1, got shape {a.shape}")
     return a
+
+
+def is_integer(x):
+    """True for a Python or numpy integer other than a bool, the one type that
+    the package takes for a dimension, rank, count or iteration budget."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def half_spectrum(a, out=None):

@@ -7,7 +7,6 @@ realness, because the matrix SVD is not unique; here the factors are real by
 construction.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,7 @@ from .core import (
     half_spectrum,
     half_svd,
     half_weights,
+    is_integer,
 )
 from .errors import RankOutOfRange
 
@@ -103,7 +103,7 @@ def best_rank_k(a, k):
     singular triplets of every slice."""
     a = as_tensor3(a)
     n1, n2, n3 = a.shape
-    if not isinstance(k, numbers.Integral) or not 0 <= k <= min(n1, n2):
+    if not is_integer(k) or not 0 <= k <= min(n1, n2):
         raise RankOutOfRange(f"rank must be an integer in [0, {min(n1, n2)}], got {k}")
     u, s, vh = half_svd(half_spectrum(a), n3)
     return from_half_spectrum(half_matmul(u[:, :, :k] * s[:, None, :k], vh[:, :k, :], n3), n3)

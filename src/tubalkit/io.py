@@ -4,11 +4,16 @@ pixel corruption, PSNR, and CSV/JSON experiment reports.
 T3F1 layout: magic bytes ``T3F1``, three little-endian uint32 dims n1, n2, n3,
 then n1*n2*n3 little-endian float64 values ordered frontal-slice-slowest and
 row-major within each slice. Trailing bytes after the payload are ignored.
+
+P6 header: the tokens ``P6``, width, height and maxval, separated by whitespace
+or by ``#`` comments that run to the end of their line; one space, tab, CR or LF
+then precedes the raster, which is read in place rather than copied.
 """
 
 import json
 import math
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -95,26 +100,25 @@ def read_tensor(path):
 
 def image_to_tensor(ppm_bytes):
     """Decode a binary 8-bit P6 image into an (n1, n2, 3) tensor in [0, 1]."""
-    magic, rest = _token(ppm_bytes)
+    magic, pos = _token(ppm_bytes, 0)
     if magic in (b"P1", b"P2", b"P3", b"P4", b"P5"):
         raise UnsupportedFormat(f"only binary P6 is supported, got {magic.decode()}")
     if magic != b"P6":
         raise MalformedHeader("missing P6 signature")
-    width, rest = _int_token(rest)
-    height, rest = _int_token(rest)
-    maxval, rest = _int_token(rest)
+    width, pos = _int_token(ppm_bytes, pos)
+    height, pos = _int_token(ppm_bytes, pos)
+    maxval, pos = _int_token(ppm_bytes, pos)
     if width < 1 or height < 1:
         raise MalformedHeader(f"bad image size {width}x{height}")
     if maxval != 255:
         raise UnsupportedFormat(f"only maxval 255 is supported, got {maxval}")
     # Exactly one whitespace byte separates the header from the raster.
-    if not rest or rest[:1] not in (b"\n", b" ", b"\t", b"\r"):
+    if ppm_bytes[pos:pos + 1] not in (b"\n", b" ", b"\t", b"\r"):
         raise MalformedHeader("missing separator before raster")
-    raster = rest[1:]
-    need = width * height * 3
-    if len(raster) < need:
-        raise MalformedHeader(f"raster needs {need} bytes, found {len(raster)}")
-    pixels = np.frombuffer(raster, dtype=np.uint8, count=need)
+    need, found = width * height * 3, len(ppm_bytes) - pos - 1
+    if found < need:
+        raise MalformedHeader(f"raster needs {need} bytes, found {found}")
+    pixels = np.frombuffer(ppm_bytes, dtype=np.uint8, count=need, offset=pos + 1)
     return pixels.reshape(height, width, 3).astype(np.float64) / 255.0
 
 
@@ -133,29 +137,23 @@ def tensor_to_image(a):
     return header + levels.tobytes()
 
 
-def _token(data):
-    """Next whitespace-delimited token, skipping '#' comment lines."""
-    i = 0
-    while True:
-        while i < len(data) and data[i:i + 1].isspace():
-            i += 1
-        if i < len(data) and data[i:i + 1] == b"#":
-            while i < len(data) and data[i:i + 1] != b"\n":
-                i += 1
-            continue
-        break
-    start = i
-    while i < len(data) and not data[i:i + 1].isspace() and data[i:i + 1] != b"#":
-        i += 1
-    if start == i:
+# A header token after whitespace and comments. The lookahead holds a comment to
+# its line's end, so a failed match cannot backtrack into it and read a token.
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]+)")
+
+
+def _token(data, pos):
+    """The header token at or after offset pos, and the offset just past it."""
+    match = _TOKEN.match(data, pos)
+    if match is None:
         raise MalformedHeader("unexpected end of header")
-    return data[start:i], data[i:]
+    return match[1], match.end()
 
 
-def _int_token(data):
-    tok, rest = _token(data)
+def _int_token(data, pos):
+    tok, pos = _token(data, pos)
     try:
-        return int(tok), rest
+        return int(tok), pos
     except ValueError:
         raise MalformedHeader(f"expected integer, got {tok!r}") from None
 

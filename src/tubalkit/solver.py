@@ -23,7 +23,6 @@ phase-transition experiments need failed cells as data points.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +59,7 @@ class SolverConfig:
             raise ValueError(f"lam must be positive, got {self.lam}")
         if not 0 < self.eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        if not isinstance(self.max_iters, numbers.Integral) or not self.max_iters >= 1:
+        if not core.is_integer(self.max_iters) or not self.max_iters >= 1:
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters}")
 
 

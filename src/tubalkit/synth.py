@@ -7,13 +7,12 @@ independent streams for the low-rank and sparse draws, so results do not
 depend on evaluation order and are reproducible across platforms.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import ctranspose, tprod
-from .core import fro_norm
+from .core import fro_norm, is_integer
 from .errors import CountOutOfRange, RankOutOfRange, ShapeMismatch
 from .solver import SolverConfig, solve
 
@@ -21,14 +20,14 @@ from .solver import SolverConfig, solve
 def _check_dims(n1, n2, n3, least=0):
     """The rule of as_tensor3: integer dimensions, n1 and n2 at least `least`, n3 >= 1."""
     dims = (n1, n2, n3)
-    if not all(isinstance(d, numbers.Integral) for d in dims) or min(n1, n2) < least or n3 < 1:
+    if not all(map(is_integer, dims)) or min(n1, n2) < least or n3 < 1:
         raise ShapeMismatch(f"need integers n1, n2 >= {least} and n3 >= 1, got {dims}")
 
 
 def gen_low_tubal_rank(n1, n2, n3, r, seed):
     """Tubal-rank-r tensor p * q^T with factor entries N(0, 1/n1)."""
     _check_dims(n1, n2, n3)
-    if not isinstance(r, numbers.Integral) or not 0 <= r <= min(n1, n2):
+    if not is_integer(r) or not 0 <= r <= min(n1, n2):
         raise RankOutOfRange(f"rank must be an integer in [0, {min(n1, n2)}], got {r}")
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(max(n1, 1))  # n1 = 0 forces r = 0: no entries to scale
@@ -51,7 +50,7 @@ def gen_sparse_bernoulli(n1, n2, n3, m_or_rho, mode, seed):
     out = np.zeros((n1, n2, n3))
     if mode == "count":
         m = m_or_rho
-        if not isinstance(m, numbers.Integral) or not 0 <= m <= total:
+        if not is_integer(m) or not 0 <= m <= total:
             raise CountOutOfRange(f"count must be an integer in [0, {total}], got {m}")
         if m > 0:
             support = rng.choice(total, size=m, replace=False)
@@ -92,7 +91,7 @@ def phase_grid(n, n3, r_fracs, rho_ss, trials, success_tol=1e-3, seed=0):
     rho_ss = list(rho_ss)
     if not r_fracs or not rho_ss:
         raise ValueError("grid axes must be nonempty")
-    if not isinstance(trials, numbers.Integral) or trials < 1:
+    if not is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials}")
     if not success_tol > 0:
         raise ValueError(f"success_tol must be positive, got {success_tol}")

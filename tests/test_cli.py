@@ -354,3 +354,25 @@ def test_every_library_error_has_an_exit_code():
     assert classes
     for cls in classes:
         assert any(issubclass(cls, row) for row, _ in EXIT_CODES), cls.__name__
+
+
+# ── reports ──────────────────────────────────────────────────────────────────
+
+
+def test_reports_name_their_blas(tmp_path, monkeypatch):
+    # Reports are byte-identical only under one BLAS, so they say which.
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    src = tmp_path / "in.ppm"
+    src.write_bytes(low_rank_image_bytes(8, 1, seed=1))
+    report = tmp_path / "r.json"
+    for argv in (
+        ["decompose", "--input", tensor_file(tmp_path, np.ones((3, 3, 2)))],
+        synth()(tmp_path, monkeypatch),
+        ["image", "--input", str(src), "--seed", "1", "--out", str(tmp_path / "o.ppm")],
+    ):
+        assert run_cli(*argv, "--report", str(report)) in (0, 2)
+        assert json.loads(report.read_text())["blas"] == f"{blas['name']} {blas['version']}"
+    # A build record that does not name its BLAS leaves the field out.
+    monkeypatch.setattr(np, "show_config", lambda mode: {})
+    assert run_cli(*synth()(tmp_path, monkeypatch), "--report", str(report)) == 0
+    assert "blas" not in json.loads(report.read_text())

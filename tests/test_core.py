@@ -25,7 +25,7 @@ from tubalkit.core import (
     l1_norm,
     linf_norm,
 )
-from tubalkit.errors import ShapeMismatch
+from tubalkit.errors import CountOutOfRange, RankOutOfRange, ShapeMismatch
 from tubalkit.norms import spectral_norm, tnn
 from tubalkit.prox import soft_threshold, tsvt
 from tubalkit.solver import SolverConfig, solve
@@ -262,6 +262,22 @@ def test_empty_third_mode_is_rejected():
     ):
         with pytest.raises(ShapeMismatch):
             call()
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("call, error", [
+    (lambda b: tubalkit.identity_tensor(b, 2), ShapeMismatch),
+    (lambda b: tubalkit.best_rank_k(np.ones((2, 2, 2)), b), RankOutOfRange),
+    (lambda b: SolverConfig(max_iters=b), ValueError),
+    (lambda b: gen_low_tubal_rank(4, 4, b, 1, 0), ShapeMismatch),
+    (lambda b: gen_low_tubal_rank(4, 4, 2, b, 0), RankOutOfRange),
+    (lambda b: tubalkit.gen_sparse_bernoulli(4, 4, 2, b, "count", 0), CountOutOfRange),
+    (lambda b: tubalkit.phase_grid(8, 2, [0.25], [0.1], b), ValueError),
+], ids=["identity_tensor", "best_rank_k", "max_iters", "dims", "rank", "count", "trials"])
+def test_a_bool_is_not_an_integer(call, error, flag):
+    # bool is a numbers.Integral: True would pass as 1, or reach numpy as a shape.
+    with pytest.raises(error):
+        call(flag)
 
 
 def test_l1_linf():

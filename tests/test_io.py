@@ -213,9 +213,26 @@ def test_image_roundtrip_bytes():
 
 
 def test_image_header_comments():
-    ppm = b"P6\n# a comment\n2 1\n255\n" + b"\x00" * 6
-    a = io.image_to_tensor(ppm)
-    assert a.shape == (1, 2, 3)
+    # Tokens are separated by whitespace, \x0b and \x0c included, or by comments
+    # that run to the end of their line, whatever they hold; int() reads a width.
+    for header, width in [
+        (b"P6\n# a comment\n2 1\n255\n", 2),
+        (b"P6#c\n2 1\n255\n", 2),  # a comment glued to a token
+        (b"P6 #_\n1 1\n255\n", 1),  # a token-like byte inside a comment
+        (b"P6\x0b2\x0c1\x0b\x0c255\n", 2),
+        (b"P6 +2 1 255\n", 2),
+        (b"P6 1_0 1 255\n", 10),
+    ]:
+        raster = bytes(range(3 * width))
+        a = io.image_to_tensor(header + raster)
+        assert a.shape == (1, width, 3), header
+        assert a.tobytes() == (np.frombuffer(raster, dtype=np.uint8) / 255.0).tobytes(), header
+
+
+def test_image_decoding_holds_one_tensor():
+    # The raster is read in place, not copied out of the file's bytes.
+    ppm = white_ppm(400, 300)
+    assert traced_peak(lambda: io.image_to_tensor(ppm)) <= 1.05 * 300 * 400 * 3 * 8
 
 
 def test_tensor_to_image_clamps():
@@ -233,6 +250,9 @@ def test_image_rejects_other_formats():
         io.image_to_tensor(b"P6\n2 2\n65535\n" + b"\0" * 24)
     with pytest.raises(MalformedHeader):
         io.image_to_tensor(b"JUNK")
+    for ends_in_a_comment in (b"P6 2 1 # 255", b"P6 2 1\n# 255\n"):
+        with pytest.raises(MalformedHeader, match="unexpected end of header"):
+            io.image_to_tensor(ends_in_a_comment)
 
 
 def test_image_rejects_short_raster():
