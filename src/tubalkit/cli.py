@@ -9,7 +9,8 @@ external tools.
 Exit codes: 0 ok, 1 I/O or format error (unreadable or unwritable file, bad
 file or image contents, non-finite tensor), 2 solver did not converge,
 3 numerical failure (a per-slice SVD did not converge), 64 usage (bad flags,
-or a parameter value the library rejects).
+a parameter value the library rejects, or a parameter or input tensor too
+large for a C integer or for memory).
 """
 
 import argparse
@@ -33,13 +34,15 @@ EXIT_NUMERICAL = 3
 EXIT_USAGE = 64
 
 # Library exception -> exit code; the first matching row wins, so the data
-# errors are listed before the ValueError that covers every other rejected
-# parameter value.
+# errors are listed before the usage rows: a parameter value the library
+# rejects, or one too large for a C integer or for memory.
 EXIT_CODES = (
     (OSError, EXIT_IO),
     (DataError, EXIT_IO),
     (NumericalFailure, EXIT_NUMERICAL),
     (ValueError, EXIT_USAGE),
+    (OverflowError, EXIT_USAGE),
+    (MemoryError, EXIT_USAGE),
 )
 
 # Rank reporting tolerance for solver outputs: ADMM iterates carry O(eps)

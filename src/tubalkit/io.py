@@ -132,7 +132,10 @@ def tensor_to_image(a):
         raise ShapeMismatch(f"image tensor needs n1, n2 >= 1 and 3 channels, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NonFiniteInput("image tensor contains NaN or Inf")
-    levels = np.floor(np.clip(a, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+    levels = np.clip(a, 0.0, 1.0)  # the one float buffer, scaled and rounded in place
+    levels *= 255.0
+    levels += 0.5
+    levels = np.floor(levels, out=levels).astype(np.uint8)
     header = f"P6\n{n2} {n1}\n255\n".encode()
     return header + levels.tobytes()
 
@@ -200,11 +203,13 @@ def psnr(reference, estimate):
     with np.errstate(over="ignore"):
         err, scale = estimate - reference, 1.0
     if np.isinf(err).any():  # finite operands whose difference overflows
-        err, scale = estimate / 2 - reference / 2, 2.0
+        err, scale = np.divide(estimate, 2, out=err), 2.0
+        err -= reference / 2
     top = linf_norm(err)
     if top == 0.0:
         return math.inf
-    mse = float(np.mean(np.square(err / top)))  # in [1 / size, 1]
+    err /= top
+    mse = float(np.mean(np.square(err, out=err)))  # in [1 / size, 1]
     return 20.0 * (math.log10(peak) - math.log10(top) - math.log10(scale)) - 10.0 * math.log10(mse)
 
 

@@ -11,14 +11,14 @@ schedule from mu = MU0 fixed as in the paper. Thresholding hands
 and keep few singular values, so a slice's leading triplets usually come from a
 certified partial SVD started from the previous iteration's, within ~1e-12 of
 the exact step; any other slice is thresholded exactly, from the full SVD. The
-loop holds three tensors, L, E and Y/mu, and one half spectrum. Each iteration
-sweeps twice over chunks of rows of X, of at most ``core.BLOCK_BYTES``: the
-first transforms X - E - Y/mu into the half spectrum, which ``half_svt``
-thresholds in place, and the second transforms it back, writes L's and E's
-next rows over their spent ones and takes the gap and the dual step there. The
-FFTs act on tubes, so the chunks leave every byte as one sweep would. It stops
-when the successive changes of L and E and the feasibility gap are all below
-eps in max norm. Non-convergence is a reported outcome, not an exception:
+loop holds three tensors, L, E and Y/mu, and the half spectrum of X - E - Y/mu,
+which ``half_svt`` thresholds in place. One sweep over chunks of rows of X,
+of at most ``core.BLOCK_BYTES``, transforms each chunk's rows back, writes L's
+and E's next rows over their spent ones, takes the gap and the dual step there
+and transforms the rows' next X - E - Y/mu forward into the spectrum. The FFTs
+act on tubes, so the chunks leave every byte as one whole transform would. It
+stops when the successive changes of L and E and the feasibility gap are all
+below eps in max norm. Non-convergence is a reported outcome, not an exception:
 phase-transition experiments need failed cells as data points.
 """
 
@@ -100,7 +100,7 @@ def solve(x, cfg=None):
     l_cur = np.zeros_like(x)
     e_cur = np.zeros_like(x)
     shift = np.zeros_like(x)  # the scaled dual Y / mu
-    stack = np.empty((n3 // 2 + 1, n1, n2), dtype=np.complex128)  # the half spectrum L's prox works on
+    stack = half_spectrum(x)  # of x - e_cur - shift, thresholded in place, rows renewed per chunk
     step = max(1, min(n1, core.BLOCK_BYTES // max(1, x.itemsize * n2 * n3)))  # rows per chunk
     chunks = [slice(i, min(i + step, n1)) for i in range(0, n1, step)]
     history = []
@@ -109,14 +109,9 @@ def solve(x, cfg=None):
 
     for iters in range(1, cfg.max_iters + 1):
         mu_next = min(mu * RHO, MU_MAX)
-        a = buf = np.empty((step, n2, n3))  # the chunk temporary, a the rows in use
-        for rows in chunks:
-            a = np.subtract(x[rows], e_cur[rows], out=buf[:rows.stop - rows.start])
-            half_spectrum(np.subtract(a, shift[rows], out=a), out=stack[:, rows])  # x - e_cur - shift
-        del a, buf  # not kept through the thresholding
         half_svt(stack, n3, 1.0 / mu, warm)
         res = np.zeros(3)  # dl, de and dfit, the max over the chunks
-        a = buf = np.empty((step, n2, n3))
+        a = buf = np.empty((step, n2, n3))  # the chunk temporary, a the rows in use
         for rows in chunks:
             l, e, s = l_cur[rows], e_cur[rows], shift[rows]
             a = from_half_spectrum(stack[:, rows], n3, out=buf[:rows.stop - rows.start])  # l_new
@@ -129,7 +124,8 @@ def solve(x, cfg=None):
             np.maximum(res, (dl, de, linf_norm(a)), out=res)
             s += a  # the dual step, unused if this iteration converges
             s *= mu / mu_next
-        del a, buf
+            half_spectrum(np.subtract(np.subtract(x[rows], e, out=a), s, out=a), out=stack[:, rows])
+        del a, buf  # not kept through the thresholding
         dl, de, dfit = res.tolist()
         history.append(max(dl, de, dfit))
         converged = dl <= cfg.eps and de <= cfg.eps and dfit <= cfg.eps

@@ -7,6 +7,7 @@ independent streams for the low-rank and sparse draws, so results do not
 depend on evaluation order and are reproducible across platforms.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ def gen_low_tubal_rank(n1, n2, n3, r, seed):
     if not is_integer(r) or not 0 <= r <= min(n1, n2):
         raise RankOutOfRange(f"rank must be an integer in [0, {min(n1, n2)}], got {r}")
     rng = np.random.default_rng(seed)
-    scale = 1.0 / np.sqrt(max(n1, 1))  # n1 = 0 forces r = 0: no entries to scale
+    scale = 1.0 / math.sqrt(max(n1, 1))  # n1 = 0 forces r = 0: no entries to scale
     p = rng.normal(0.0, scale, size=(n1, r, n3))
     q = rng.normal(0.0, scale, size=(n2, r, n3))
     return tprod(p, ctranspose(q))

@@ -318,6 +318,16 @@ def phase_rate_above_one(tmp_path, monkeypatch):
     return phase("--rho-grid", "0.1:0.7:1.5")(tmp_path, monkeypatch)
 
 
+def phase_out_of_memory(tmp_path, monkeypatch):
+    # A 100000 x 100000 x 1000 grid asks numpy for 7.28 TiB; the generator
+    # stands in for that request, so that nothing is allocated.
+    def gen_low_tubal_rank(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr("tubalkit.synth.gen_low_tubal_rank", gen_low_tubal_rank)
+    return phase("--n", "100000", "--n3", "1000", "--r-grid", "0.1:0.1:0.1")(tmp_path, monkeypatch)
+
+
 def image_corrupt_out_of_range(tmp_path, monkeypatch):
     argv = black_image(tmp_path, monkeypatch)
     return argv + ["--corrupt", "2"]
@@ -337,6 +347,9 @@ def image_corrupt_out_of_range(tmp_path, monkeypatch):
     pytest.param(phase("--r-grid=-0.5:0.1:-0.4"), 64, id="phase-negative-rank-fraction"),
     pytest.param(phase("--r-grid", "0:0.01:0.02"), 64, id="phase-rank-fraction-rounds-to-zero"),
     pytest.param(phase_rate_above_one, 64, id="phase-rate-above-one"),
+    pytest.param(phase("--trials", str(10**20)), 64, id="phase-trials-overflow"),
+    pytest.param(synth("--n1", str(10**20)), 64, id="synth-dimension-too-large"),
+    pytest.param(phase_out_of_memory, 64, id="phase-out-of-memory"),
     pytest.param(image_corrupt_out_of_range, 64, id="corrupt-above-one"),
     pytest.param(report_in_missing_dir, 1, id="report-in-missing-dir"),
     pytest.param(nan_tensor, 1, id="nan-payload"),

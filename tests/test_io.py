@@ -235,6 +235,12 @@ def test_image_decoding_holds_one_tensor():
     assert traced_peak(lambda: io.image_to_tensor(ppm)) <= 1.05 * 300 * 400 * 3 * 8
 
 
+def test_image_encoding_holds_one_tensor():
+    # Clamped, scaled and rounded in one float buffer before the uint8 cast.
+    a = np.random.default_rng(3).uniform(-0.2, 1.2, (300, 400, 3))
+    assert traced_peak(lambda: io.tensor_to_image(a)) <= 1.25 * a.nbytes
+
+
 def test_tensor_to_image_clamps():
     a = np.full((1, 1, 3), 1.5)
     out = io.tensor_to_image(a)
@@ -386,6 +392,14 @@ def test_psnr_of_huge_and_tiny_finite_input_is_finite():
     huge = np.full((2, 2, 2), 1e308)
     assert np.isclose(io.psnr(huge, -huge), -20.0 * math.log10(2.0))
     assert io.psnr(huge, huge.copy()) == math.inf
+
+
+def test_psnr_holds_one_tensor():
+    # The error is divided and squared where it was taken.
+    rng = np.random.default_rng(4)
+    ref = rng.uniform(0.0, 1.0, (300, 400, 3))
+    est = ref + 0.01 * rng.standard_normal(ref.shape)
+    assert traced_peak(lambda: io.psnr(ref, est)) <= 1.25 * ref.nbytes
 
 
 # ── reports ──────────────────────────────────────────────────────────────────

@@ -290,6 +290,27 @@ def test_row_chunks_leave_the_solve_unchanged(monkeypatch, instance):
     assert chunked.e_hat.tobytes() == whole.e_hat.tobytes()
 
 
+def test_one_sweep_per_iteration(monkeypatch):
+    # F forward transform, I inverse transform, T thresholding. X is transformed
+    # once; then each iteration thresholds, and each chunk of rows transforms its
+    # rows back and the next X - E - Y / mu of those rows forward.
+    calls = []
+
+    def spy(letter, fn):
+        def called(*args, **kwargs):
+            calls.append(letter)
+            return fn(*args, **kwargs)
+        return called
+
+    for name, letter in [("half_spectrum", "F"), ("from_half_spectrum", "I"), ("half_svt", "T")]:
+        monkeypatch.setattr(solver, name, spy(letter, getattr(solver, name)))
+    monkeypatch.setattr(core, "BLOCK_BYTES", 2 * 5 * 4 * 8)  # two rows of a 6x5x4 tensor: three chunks
+    x = np.random.default_rng(0).standard_normal((6, 5, 4))
+    sol = solve(x, SolverConfig(eps=1e-300, max_iters=2))
+    assert sol.iters == 2 and not sol.converged
+    assert "".join(calls) == "F" + "TIFIFIF" * 2
+
+
 THREADS_CHILD = """
 import json, sys
 import numpy as np
