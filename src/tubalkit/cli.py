@@ -21,9 +21,8 @@ import numpy as np
 
 from . import io
 from .core import l1_norm, fro_norm
-from .decomposition import tubal_rank
+from .decomposition import singular_values
 from .errors import DataError, NumericalFailure
-from .norms import tnn
 from .solver import SolverConfig, solve
 from .synth import gen_low_tubal_rank, gen_sparse_bernoulli, phase_grid
 
@@ -60,10 +59,19 @@ class _Parser(argparse.ArgumentParser):
 
 # Argument types. argparse names the function in its message for text that
 # does not parse ("invalid grid value: ..."); range checks on single values are
-# left to the library, whose ValueError maps to EXIT_USAGE.
+# left to the library, whose ValueError maps to EXIT_USAGE, except the bound
+# of a size that numpy could not hold in a C integer.
 def lambda_or_auto(text):
     """A number, or 'auto' (None) for default_lambda of the input."""
     return None if text == "auto" else float(text)
+
+
+def size(text):
+    """An integer that sizes arrays, at most sys.maxsize."""
+    value = int(text)
+    if value > sys.maxsize:
+        raise argparse.ArgumentTypeError(f"{text} is larger than {sys.maxsize}")
+    return value
 
 
 def grid(text):
@@ -115,6 +123,13 @@ def _emit_report(args, x, sol, fields):
     return EXIT_OK if sol.converged else EXIT_NOT_CONVERGED
 
 
+def _low_rank_fields(l_hat):
+    """L's tubal rank at SOLUTION_RANK_TOL and its TNN, as tubal_rank and tnn
+    compute them, from one values-only SVD of its half spectrum."""
+    sv = singular_values(l_hat)
+    return int(np.count_nonzero(sv > SOLUTION_RANK_TOL * sv.max(initial=0.0))), float(np.sum(sv))
+
+
 def _rel_err(estimate, truth):
     """Relative Frobenius error; the absolute one for a zero truth."""
     return fro_norm(estimate - truth) / (fro_norm(truth) or 1.0)
@@ -127,9 +142,10 @@ def cmd_decompose(args):
         io.write_tensor(args.out_l, sol.l_hat)
     if args.out_e:
         io.write_tensor(args.out_e, sol.e_hat)
+    rank, nuclear = _low_rank_fields(sol.l_hat)
     return _emit_report(args, x, sol, {
-        "tubal_rank": tubal_rank(sol.l_hat, SOLUTION_RANK_TOL),
-        "tnn": tnn(sol.l_hat),
+        "tubal_rank": rank,
+        "tnn": nuclear,
         "l1": l1_norm(sol.e_hat),
     })
 
@@ -145,20 +161,21 @@ def cmd_synth(args):
     e0 = gen_sparse_bernoulli(args.n1, args.n2, args.n3, value, mode, sp_seed)
     x = l0 + e0
     sol = _solve(x, args)
+    rank, nuclear = _low_rank_fields(sol.l_hat)
     # Recovery-table columns: instance parameters plus recovered rank,
     # support size, and relative errors.
     table = {
         "n1": args.n1, "n2": args.n2, "n3": args.n3,
         "rank": args.rank,
         "m": int(np.count_nonzero(e0)),
-        "tubal_rank": tubal_rank(sol.l_hat, SOLUTION_RANK_TOL),
+        "tubal_rank": rank,
         "recovered_nnz": int(np.count_nonzero(sol.e_hat)),
         "rel_err_l": _rel_err(sol.l_hat, l0),
         "rel_err_e": _rel_err(sol.e_hat, e0),
     }
     code = _emit_report(args, x, sol, {
         **table,
-        "tnn": tnn(sol.l_hat),
+        "tnn": nuclear,
         "l1": l1_norm(sol.e_hat),
     })
     if args.csv:
@@ -212,12 +229,12 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate and solve a synthetic instance")
     p.set_defaults(run=cmd_synth)
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--n2", type=int, required=True)
-    p.add_argument("--n3", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--n1", type=size, required=True)
+    p.add_argument("--n2", type=size, required=True)
+    p.add_argument("--n3", type=size, required=True)
+    p.add_argument("--rank", type=size, required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--sparsity-count", type=int)
+    group.add_argument("--sparsity-count", type=size)
     group.add_argument("--sparsity-rho", type=float)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--report")
@@ -226,11 +243,11 @@ def build_parser():
 
     p = sub.add_parser("phase", help="phase-transition success grid")
     p.set_defaults(run=cmd_phase)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--n3", type=int, required=True)
+    p.add_argument("--n", type=size, required=True)
+    p.add_argument("--n3", type=size, required=True)
     p.add_argument("--r-grid", type=grid, required=True, help="rank fractions a:step:b")
     p.add_argument("--rho-grid", type=grid, required=True, help="sparsity rates a:step:b")
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=size, default=10)
     p.add_argument("--success-tol", type=float, default=1e-3)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)

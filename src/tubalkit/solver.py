@@ -10,13 +10,17 @@ schedule from mu = MU0 fixed as in the paper. Thresholding hands
 ``core.half_svt`` one ``core.WarmStart`` per solve: the iterates change slowly
 and keep few singular values, so a slice's leading triplets usually come from a
 certified partial SVD started from the previous iteration's, within ~1e-12 of
-the exact step; any other slice is thresholded exactly, from the full SVD. The
-loop holds three tensors, L, E and Y/mu, and the half spectrum of X - E - Y/mu,
-which ``half_svt`` thresholds in place. One sweep over chunks of rows of X,
-of at most ``core.BLOCK_BYTES``, transforms each chunk's rows back, writes L's
-and E's next rows over their spent ones, takes the gap and the dual step there
-and transforms the rows' next X - E - Y/mu forward into the spectrum. The FFTs
-act on tubes, so the chunks leave every byte as one whole transform would. It
+the exact step; any other slice is thresholded exactly, from the full SVD.
+The E-step soft-thresholds T = X - L' - Y/mu at kappa = lambda/mu, so
+E' = T - clip(T, kappa) and, exactly, Y'/mu' = -clip(T, kappa) * mu/mu'. The
+loop therefore holds two tensors, L and T, and the half spectrum of
+X - E - Y/mu, which ``half_svt`` thresholds in place; E is formed once, at
+exit. One sweep over chunks of rows of X, of at most ``core.BLOCK_BYTES``,
+transforms each chunk's rows back, writes L's next rows over their spent ones,
+clips the rows of T for E and Y/mu, writes the next T over them, takes the
+changes and the gap there and transforms the rows' next X - E - Y/mu forward
+into the spectrum. The FFTs act on tubes, so the chunks leave every byte as
+one whole transform would. It
 stops when the successive changes of L and E and the feasibility gap are all
 below eps in max norm. Non-convergence is a reported outcome, not an exception:
 phase-transition experiments need failed cells as data points.
@@ -98,13 +102,13 @@ def solve(x, cfg=None):
 
     n1, n2, n3 = x.shape
     l_cur = np.zeros_like(x)
-    e_cur = np.zeros_like(x)
-    shift = np.zeros_like(x)  # the scaled dual Y / mu
-    stack = half_spectrum(x)  # of x - e_cur - shift, thresholded in place, rows renewed per chunk
+    t_cur = np.zeros_like(x)  # x - l - Y/mu at the last E-step, whose clip holds E and Y/mu
+    stack = half_spectrum(x)  # of x - e - Y/mu, thresholded in place, rows renewed per chunk
     step = max(1, min(n1, core.BLOCK_BYTES // max(1, x.itemsize * n2 * n3)))  # rows per chunk
     chunks = [slice(i, min(i + step, n1)) for i in range(0, n1, step)]
     history = []
     mu = MU0
+    kappa = ratio = 0.0  # the last E-step's lam / mu and mu / mu_next; t_cur = 0 needs neither
     warm = WarmStart()
 
     for iters in range(1, cfg.max_iters + 1):
@@ -113,19 +117,23 @@ def solve(x, cfg=None):
         res = np.zeros(3)  # dl, de and dfit, the max over the chunks
         a = buf = np.empty((step, n2, n3))  # the chunk temporary, a the rows in use
         for rows in chunks:
-            l, e, s = l_cur[rows], e_cur[rows], shift[rows]
+            l, t = l_cur[rows], t_cur[rows]
             a = from_half_spectrum(stack[:, rows], n3, out=buf[:rows.stop - rows.start])  # l_new
             dl = linf_norm(np.subtract(a, l, out=l))  # into the spent iterate's rows
             np.copyto(l, a)
-            np.subtract(np.subtract(x[rows], l, out=a), s, out=a)  # x - l_new - shift
-            de = linf_norm(np.subtract(soft_threshold(a, lam / mu, out=a), e, out=e))  # e_new - e_cur
-            np.copyto(e, a)
-            np.subtract(np.add(l, e, out=a), x[rows], out=a)  # the gap l_new + e_new - x
-            np.maximum(res, (dl, de, linf_norm(a)), out=res)
-            s += a  # the dual step, unused if this iteration converges
-            s *= mu / mu_next
-            half_spectrum(np.subtract(np.subtract(x[rows], e, out=a), s, out=a), out=stack[:, rows])
+            t -= np.clip(t, -kappa, kappa, out=a)  # e_cur, as soft_threshold forms it
+            a *= ratio  # -Y/mu
+            np.subtract(np.add(x[rows], a, out=a), l, out=a)  # t_new = x - l_new - Y/mu
+            e = soft_threshold(a, lam / mu)  # e_new, the chunk's second temporary
+            de = linf_norm(np.subtract(e, t, out=t))  # e_new - e_cur
+            np.subtract(np.add(l, e, out=t), x[rows], out=t)  # the gap l_new + e_new - x
+            np.maximum(res, (dl, de, linf_norm(t)), out=res)
+            np.copyto(t, a)  # t_new over the spent rows
+            np.multiply(np.clip(a, -lam / mu, lam / mu, out=a), mu / mu_next, out=a)  # -Y'/mu'
+            half_spectrum(np.subtract(np.add(x[rows], a, out=a), e, out=a), out=stack[:, rows])
+            del e  # freed before the next chunk's
         del a, buf  # not kept through the thresholding
+        kappa, ratio = lam / mu, mu / mu_next
         dl, de, dfit = res.tolist()
         history.append(max(dl, de, dfit))
         converged = dl <= cfg.eps and de <= cfg.eps and dfit <= cfg.eps
@@ -133,9 +141,10 @@ def solve(x, cfg=None):
             break
         mu = mu_next
 
+    del stack  # its memory goes to the clip of the one soft-threshold of the whole tensor
     return Solution(
         l_hat=l_cur,
-        e_hat=e_cur,
+        e_hat=soft_threshold(t_cur, kappa, out=t_cur),
         iters=iters,
         final_residual=dfit,
         converged=converged,

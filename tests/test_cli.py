@@ -1,12 +1,13 @@
 """End-to-end command-line behavior: flags, files, reports, exit codes."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from tubalkit import errors, io
-from tubalkit.cli import EXIT_CODES, grid, main
+from tubalkit import core, decomposition, errors, io, norms
+from tubalkit.cli import EXIT_CODES, SOLUTION_RANK_TOL, grid, main, size
 from tubalkit.core import fro_norm
 from tubalkit.synth import gen_low_tubal_rank, gen_sparse_bernoulli
 
@@ -50,6 +51,30 @@ def test_decompose_reports_partial_svd_counts(tmp_path):
     data = json.loads(report.read_text())
     assert data["svd_certified"] > 0 and data["svd_fallbacks"] >= 0
     assert data["svd_certified"] + data["svd_fallbacks"] <= data["iters"] * (4 // 2 + 1)
+
+
+def test_decompose_report_takes_one_values_only_svd(tmp_path, monkeypatch):
+    # tubal_rank and tnn are both read off L's singular values, taken once, and
+    # equal what the two functions report on their own.
+    real = core.half_svd
+    values_only = []
+
+    def spy(*args, **kwargs):
+        values_only.append(not kwargs.get("compute_uv", True))
+        return real(*args, **kwargs)
+
+    for module in (core, decomposition, norms):
+        monkeypatch.setattr(module, "half_svd", spy)
+    x = gen_low_tubal_rank(20, 20, 6, 2, seed=5) + gen_sparse_bernoulli(20, 20, 6, 0.05, "rho", seed=6)
+    report = tmp_path / "r.json"
+    assert run_cli("decompose", "--input", tensor_file(tmp_path, x), "--out-l", str(tmp_path / "l.t3f"),
+                   "--report", str(report)) == 0
+    assert values_only == [True]
+    monkeypatch.undo()
+    data = json.loads(report.read_text())
+    l_hat = io.read_tensor(tmp_path / "l.t3f")
+    assert data["tubal_rank"] == decomposition.tubal_rank(l_hat, SOLUTION_RANK_TOL) == 2
+    assert data["tnn"] == norms.tnn(l_hat)
 
 
 def test_decompose_zero_tensor(tmp_path):
@@ -347,8 +372,6 @@ def image_corrupt_out_of_range(tmp_path, monkeypatch):
     pytest.param(phase("--r-grid=-0.5:0.1:-0.4"), 64, id="phase-negative-rank-fraction"),
     pytest.param(phase("--r-grid", "0:0.01:0.02"), 64, id="phase-rank-fraction-rounds-to-zero"),
     pytest.param(phase_rate_above_one, 64, id="phase-rate-above-one"),
-    pytest.param(phase("--trials", str(10**20)), 64, id="phase-trials-overflow"),
-    pytest.param(synth("--n1", str(10**20)), 64, id="synth-dimension-too-large"),
     pytest.param(phase_out_of_memory, 64, id="phase-out-of-memory"),
     pytest.param(image_corrupt_out_of_range, 64, id="corrupt-above-one"),
     pytest.param(report_in_missing_dir, 1, id="report-in-missing-dir"),
@@ -360,6 +383,21 @@ def test_library_errors_map_to_exit_codes(tmp_path, monkeypatch, capsys, make_ar
     assert run_cli(*make_argv(tmp_path, monkeypatch)) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("make_argv, flag", [
+    pytest.param(phase("--trials", str(10**20)), "--trials", id="phase-trials-overflow"),
+    pytest.param(synth("--n1", str(10**20)), "--n1", id="synth-dimension-too-large"),
+])
+def test_oversized_size_flags_are_named(tmp_path, monkeypatch, capsys, make_argv, flag):
+    # A size above sys.maxsize fails in argparse, which names the flag and the
+    # value, before numpy can fail on it with a message that names neither.
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*make_argv(tmp_path, monkeypatch))
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: {10**20} is larger than {sys.maxsize}" in err, err
+    assert size(str(sys.maxsize)) == sys.maxsize
 
 
 def test_every_library_error_has_an_exit_code():
