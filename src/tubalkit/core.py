@@ -149,21 +149,36 @@ def half_svd(stack, n3, full_matrices=False, compute_uv=True):
 # (seed 1, 2,091 slice SVDs). A residual of 1e-12 of the slice norm kept every
 # thresholding step within 1e-12 of the exact one and the 41 iterations
 # unchanged. A cycle takes two applications of a^H a, one in its Rayleigh-Ritz
-# step and one in its shifted step. Replaying the solve's 41 calls, at most 8,
-# 7, 6, 5 and 4 cycles certified 2074, 2074, 2071, 1854 and 1317 slice SVDs.
-# Plain subspace iteration took 13,636 slice-steps, ~11 per slice mid-solve,
-# each gaining only (sigma_13 / sigma_5)^2 ~ 0.1 against a flat noise bulk;
-# the shifted step took 7,643 slice-cycles. Chebyshev filters of degree 2 and 3
-# in its place took 5,834 and 5,075 in the same time.
+# step and one in its shifted step. With OVERSAMPLE = 3 the solve's slices take
+# 8,079 cycles, and at most 8, 7, 6, 5 and 4 cycles certify 2,062, 2,037,
+# 1,975, 1,695 and 1,246 slice SVDs; the cap stops 12 slices that never fit
+# (with 7: 7,643 cycles; 2,074, 2,074, 2,071, 1,854 and 1,317; none stopped).
+# Measured with 7: plain subspace iteration took 13,636 slice-steps, ~11 per
+# slice mid-solve, each gaining only (sigma_13 / sigma_5)^2 ~ 0.1 against a
+# flat noise bulk, and Chebyshev filters of degree 2 and 3 in the shifted
+# step's place took 5,834 and 5,075 slice-cycles in the same time.
 PARTIAL_SVD_TOL = 1e-12
 PARTIAL_SVD_CYCLES = 8
-# Columns of the partial SVD beyond the last kept rank. On the same calls 5, 6
-# and 7 certified the same 2074 slice SVDs within the spread of repeated runs
-# (3: 2066).
-OVERSAMPLE = 7
+# Columns of the partial SVD beyond the last kept rank. The start is the last
+# iteration's singular vectors, not the cold Gaussian block for which a
+# randomized range finder takes 5-10 (Halko, Martinsson and Tropp, SIAM Rev. 53,
+# 2011). Medians of in-process solves, each value once per round in rotating
+# order (seed 1, 2 vCPUs, OpenBLAS 2 threads), for 2, 3, 4, 5 and 7:
+# - 40x40x400 at rank 2 (20 rounds): 1.28, 1.46, 1.60, 1.70 and 1.91 s, 3
+#   faster than 7 in 19 of 20, each with the same 5,826 certified slices;
+# - the criterion-1 solve (8 rounds, 5 for 2): 4.43, 3.00, 3.13, 3.52 and
+#   3.17 s; 2 and 3 certify 1,994 and 2,062 slices, 4 to 7 2,067-2,074;
+# - the 50x50x20 phase grid (8 rounds, 5 for 2): 8.44, 6.98, 7.38, 6.82 and
+#   6.97 s; its rank-20 solves take 87-99, 76-88 and 42-50 fallback SVDs
+#   each with 2, 3 and 7.
+# Every solve kept its iterations. 3 is the smallest that slows neither of the
+# other two.
+OVERSAMPLE = 3
 # The partial SVD runs while PARTIAL_SVD_FRACTION * (kept rank + OVERSAMPLE) is
-# at most min(n1, n2): on 40-wide slices up to a kept rank of 3. One solve each
-# (seed 1, 2 vCPUs, OpenBLAS 2 threads) with fractions 2, 3, 4, 5 and 8:
+# at most min(n1, n2): up to a kept rank of 7, 9 and 22 on 40-, 50- and
+# 100-wide slices (3, 5 and 18 with OVERSAMPLE = 7). One solve each, measured
+# with OVERSAMPLE = 7 (seed 1, 2 vCPUs, OpenBLAS 2 threads), with fractions 2,
+# 3, 4, 5 and 8:
 # - 40x40x400 at rank 2, 29 iterations of 201 slices that keep 2 values: 3.78,
 #   3.45, 3.48, 3.92 and 4.91 s; 5 opens the gate only while at most one value
 #   is kept, for 603 of the 5,829 slice SVDs, and 8 never;
@@ -274,7 +289,7 @@ def half_svt(stack, n3, tau, warm=None):
 
     Without a ``WarmStart`` every slice takes the full SVD. With one, while
     PARTIAL_SVD_FRACTION * l is at most min(n1, n2) for l = warm.rank +
-    OVERSAMPLE (a quarter of the slice width: 10 columns, a kept rank of 3, on
+    OVERSAMPLE (a quarter of the slice width: 10 columns, a kept rank of 7, on
     40-wide slices), each slice first gets its l leading triplets by shifted
     subspace iteration, started from the previous call's right singular
     vectors, then fixed-seed random columns. It is certified when those with

@@ -59,9 +59,10 @@ class SolverConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        if self.lam is not None and not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if not 0 < self.eps < math.inf:
+        # A bool is an int to Python; an infinite lam would force E = 0.
+        if self.lam is not None and (isinstance(self.lam, bool) or not 0 < self.lam < math.inf):
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if isinstance(self.eps, bool) or not 0 < self.eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not core.is_integer(self.max_iters) or not self.max_iters >= 1:
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters}")

@@ -364,6 +364,7 @@ def image_corrupt_out_of_range(tmp_path, monkeypatch):
     pytest.param(synth("--eps", "-1"), 64, id="negative-eps"),
     pytest.param(synth("--lambda", "0"), 64, id="zero-lambda"),
     pytest.param(synth("--lambda", "nan"), 64, id="nan-lambda"),
+    pytest.param(synth("--lambda", "inf"), 64, id="inf-lambda"),
     pytest.param(synth("--eps", "nan"), 64, id="nan-eps"),
     pytest.param(synth("--eps", "inf"), 64, id="inf-eps"),
     pytest.param(phase("--trials", "0"), 64, id="phase-trials-zero"),

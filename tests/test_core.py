@@ -522,7 +522,9 @@ def test_shifted_step_certifies_a_solver_spectrum_in_six_cycles(monkeypatch):
     # A block of three slices as the 100 x 100 x 100 criterion-1 solve has them
     # mid-solve: five values of 450-505 over a flat bulk, sigma_6..sigma_13 =
     # 178..152, started from perturbed singular vectors. Plain subspace
-    # iteration took 12 steps here, each with two QRs.
+    # iteration took 12 steps here, each with two QRs. Both counts hold for
+    # OVERSAMPLE = 3, whose block of 8 ends inside the bulk at sigma_8 = 171,
+    # and for 7, whose block of 12 ends at sigma_12 = 156.
     rng = np.random.default_rng(25)
     s = np.r_[np.linspace(505, 450, 5), np.linspace(178, 152, 8), np.linspace(151, 150, 87)]
     u, v = (np.array([unitary(rng, 100, True) for _ in range(3)]) for _ in range(2))

@@ -77,9 +77,16 @@ def test_config_validation():
     for field in ("lam", "eps"):
         with pytest.raises(ValueError):
             SolverConfig(**{field: float("nan")})
-    # An infinite eps would meet the stopping test at the first iteration.
-    with pytest.raises(ValueError):
-        SolverConfig(eps=float("inf"))
+    # An infinite eps would meet the stopping test at the first iteration, and
+    # an infinite lam would force E = 0.
+    for field in ("lam", "eps"):
+        with pytest.raises(ValueError):
+            SolverConfig(**{field: float("inf")})
+    # A bool is an int to Python, but not a weight or a tolerance.
+    for field in ("lam", "eps"):
+        for flag in (True, False):
+            with pytest.raises(ValueError):
+                SolverConfig(**{field: flag})
 
 
 def test_solve_rejects_nonfinite():
@@ -211,6 +218,24 @@ def test_forty_wide_slices_take_the_partial_path(monkeypatch):
     assert fro_norm(sol.l_hat - exact.l_hat) <= 1e-12 * fro_norm(exact.l_hat)
 
 
+def test_a_kept_rank_past_the_gate_leaves_the_solve_unchanged(monkeypatch):
+    # Rank 20 on 50 x 50 slices with 5% corruption, as the unrecoverable cells
+    # of the 50x50x20 phase grid: the kept rank climbs past the gate's cut-off,
+    # 50 // 4 - OVERSAMPLE, so the partial path serves only the first
+    # iterations, and slices whose kept rank outgrows their basis fall back.
+    n3 = 8
+    l0 = gen_low_tubal_rank(50, 50, n3, 20, seed=18)
+    x = l0 + gen_sparse_bernoulli(50, 50, n3, 0.05, "rho", seed=19)
+    sol = solve(x)
+    assert sol.svd_certified > 0 and sol.svd_fallbacks > 0
+    assert sol.svd_certified + sol.svd_fallbacks < sol.iters * (n3 // 2 + 1)  # the gate shut
+    monkeypatch.setattr(core, "PARTIAL_SVD_FRACTION", 51)  # shut: 51 * OVERSAMPLE > 50
+    exact = solve(x)
+    assert exact.svd_certified + exact.svd_fallbacks == 0
+    assert sol.iters == exact.iters
+    assert fro_norm(sol.l_hat - exact.l_hat) <= 1e-12 * fro_norm(exact.l_hat)
+
+
 def test_warm_solves_are_bit_identical():
     _, x = partial_svd_instance(1)
     _, other = partial_svd_instance(5)
@@ -248,8 +273,9 @@ def single_slice_instance():
 
 
 def exact_path_instance():
-    # A kept rank of 3 on 30x30 slices keeps the partial path shut.
-    l0 = gen_low_tubal_rank(30, 30, 7, 3, seed=16)
+    # A kept rank of 5 on 30x30 slices keeps the partial path shut, 4 * (5 +
+    # OVERSAMPLE) > 30, once the first iterations have passed.
+    l0 = gen_low_tubal_rank(30, 30, 7, 5, seed=16)
     return l0, l0 + gen_sparse_bernoulli(30, 30, 7, 0.05, "rho", seed=17)
 
 
