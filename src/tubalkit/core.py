@@ -28,6 +28,7 @@ with it: the partial SVD stops and certifies each slice at the first cycle
 whose triplets fit, so the outputs are the same bytes for any block size.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -96,13 +97,22 @@ def half_matmul(a, b, n3):
     return out
 
 
-# Bytes of spectrum in one block of complex slices; the kernels below hold a
-# few blocks of temporaries at a time. On the 100x100x100 criterion-1 solve
-# (2 vCPUs, OpenBLAS 2 threads) blocks of 256 KiB, 512 KiB, 1 MiB and 2 MiB
-# peaked at 5.28, 5.36, 5.53 and 5.95 tensor sizes, and 512 KiB to 2 MiB took
-# the same time within the 7-10 s spread of one solve. The nine complex slices
-# of a 50x50x20 solve (0.36 MB) stay in one block.
+# Bytes of spectrum in one block of complex slices; the kernels below hold a few
+# blocks of temporaries at a time. The smallest, so the lowest peak, of the sizes
+# that took the same time on the criterion-1 solve (CHANGES.md, "The half
+# spectrum is thresholded in blocks of slices").
 BLOCK_BYTES = 1 << 19
+
+
+def runs(shape, nbytes, dtype=np.float64):
+    """(span, buffer) for each run of the leading axis of `shape` of at most
+    `nbytes`, one entry at least: its slice of that axis, and its view of the one
+    array of `dtype` that every run shares. The one walk of bounded runs."""
+    n, *rest = shape
+    step = max(1, nbytes // max(1, np.dtype(dtype).itemsize * math.prod(rest)))
+    buffer = np.empty((min(step, n), *rest), dtype=dtype)
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n)), buffer[:n - start]
 
 
 def _batches(n3, *stacks):
@@ -145,48 +155,22 @@ def half_svd(stack, n3, full_matrices=False, compute_uv=True):
     return (u, s, vh) if compute_uv else s
 
 
-# The solver's partial SVD, measured on the 100x100x100 criterion-1 solve
-# (seed 1, 2,091 slice SVDs). A residual of 1e-12 of the slice norm kept every
-# thresholding step within 1e-12 of the exact one and the 41 iterations
-# unchanged. A cycle takes two applications of a^H a, one in its Rayleigh-Ritz
-# step and one in its shifted step. With OVERSAMPLE = 3 the solve's slices take
-# 8,079 cycles, and at most 8, 7, 6, 5 and 4 cycles certify 2,062, 2,037,
-# 1,975, 1,695 and 1,246 slice SVDs; the cap stops 12 slices that never fit
-# (with 7: 7,643 cycles; 2,074, 2,074, 2,071, 1,854 and 1,317; none stopped).
-# Measured with 7: plain subspace iteration took 13,636 slice-steps, ~11 per
-# slice mid-solve, each gaining only (sigma_13 / sigma_5)^2 ~ 0.1 against a
-# flat noise bulk, and Chebyshev filters of degree 2 and 3 in the shifted
-# step's place took 5,834 and 5,075 slice-cycles in the same time.
+# A slice fits once its residual is at most PARTIAL_SVD_TOL of its norm, which
+# kept every step of the criterion-1 solve within 1e-12 of the exact one
+# (CHANGES.md, "Warm-started, certified partial SVD"), or stops uncertified after
+# PARTIAL_SVD_CYCLES cycles: there 7 certify 25 slices fewer than 8 (CHANGES.md,
+# "core's tuning history").
 PARTIAL_SVD_TOL = 1e-12
 PARTIAL_SVD_CYCLES = 8
-# Columns of the partial SVD beyond the last kept rank. The start is the last
-# iteration's singular vectors, not the cold Gaussian block for which a
-# randomized range finder takes 5-10 (Halko, Martinsson and Tropp, SIAM Rev. 53,
-# 2011). Medians of in-process solves, each value once per round in rotating
-# order (seed 1, 2 vCPUs, OpenBLAS 2 threads), for 2, 3, 4, 5 and 7:
-# - 40x40x400 at rank 2 (20 rounds): 1.28, 1.46, 1.60, 1.70 and 1.91 s, 3
-#   faster than 7 in 19 of 20, each with the same 5,826 certified slices;
-# - the criterion-1 solve (8 rounds, 5 for 2): 4.43, 3.00, 3.13, 3.52 and
-#   3.17 s; 2 and 3 certify 1,994 and 2,062 slices, 4 to 7 2,067-2,074;
-# - the 50x50x20 phase grid (8 rounds, 5 for 2): 8.44, 6.98, 7.38, 6.82 and
-#   6.97 s; its rank-20 solves take 87-99, 76-88 and 42-50 fallback SVDs
-#   each with 2, 3 and 7.
-# Every solve kept its iterations. 3 is the smallest that slows neither of the
-# other two.
+# Columns of the partial SVD beyond the last kept rank, fewer than a cold start
+# takes because each slice starts from the last iteration's singular vectors: the
+# smallest that slows no benchmark solve (CHANGES.md, "`core.OVERSAMPLE`, the
+# partial SVD's columns beyond the kept rank").
 OVERSAMPLE = 3
 # The partial SVD runs while PARTIAL_SVD_FRACTION * (kept rank + OVERSAMPLE) is
-# at most min(n1, n2): up to a kept rank of 7, 9 and 22 on 40-, 50- and
-# 100-wide slices (3, 5 and 18 with OVERSAMPLE = 7). One solve each, measured
-# with OVERSAMPLE = 7 (seed 1, 2 vCPUs, OpenBLAS 2 threads), with fractions 2,
-# 3, 4, 5 and 8:
-# - 40x40x400 at rank 2, 29 iterations of 201 slices that keep 2 values: 3.78,
-#   3.45, 3.48, 3.92 and 4.91 s; 5 opens the gate only while at most one value
-#   is kept, for 603 of the 5,829 slice SVDs, and 8 never;
-# - the 50x50x20 phase grid of the benchmark: 16.3, 12.9, 11.4, 12.9 and 14.2 s,
-#   its rank-20 solves, whose gate opens only in the first iterations, taking
-#   97-194, 69-85, 42-50, 31-33 and 0 fallback SVDs each;
-# - the criterion-1 solve's 100-wide slices, keeping 5 values, pass with 8 and
-#   4 alike.
+# at most min(n1, n2): 4 ran the phase grid fastest of 2 to 8, and 40x40x400 as
+# fast as 3 (CHANGES.md, "The certified partial SVD now runs on slices four
+# times its column count wide").
 PARTIAL_SVD_FRACTION = 4
 
 

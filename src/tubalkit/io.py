@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import as_tensor3, linf_norm
+from .core import as_tensor3, linf_norm, runs
 from .errors import (
     BadMagic,
     DimensionOverflow,
@@ -49,17 +49,6 @@ def _check_dims(path, shape):
         raise DimensionOverflow(f"{path}: unusable dimensions ({n1}, {n2}, {n3})")
 
 
-def _runs(shape):
-    """(k, run) for each run of whole frontal slices, from slice k, of at most
-    RUN_BYTES (one slice at least): run is a (slices, n1, n2) view, in file
-    order, of one buffer that every run shares."""
-    n1, n2, n3 = shape
-    step = max(1, RUN_BYTES // (8 * n1 * n2))
-    buffer = np.empty((min(step, n3), n1, n2), dtype="<f8")
-    for k in range(0, n3, step):
-        yield k, buffer[:n3 - k]
-
-
 def write_tensor(path, a):
     """Serialize a tensor to a T3F1 file, a run of frontal slices at a time, so
     that no copy of the whole payload is made."""
@@ -70,8 +59,8 @@ def write_tensor(path, a):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<III", *a.shape))
-        for k, run in _runs(a.shape):
-            run[...] = a[:, :, k:k + len(run)].transpose(2, 0, 1)
+        for span, run in runs((a.shape[2], *a.shape[:2]), RUN_BYTES, "<f8"):
+            run[...] = a[:, :, span].transpose(2, 0, 1)
             fh.write(run)
 
 
@@ -91,10 +80,10 @@ def read_tensor(path):
         if size < need:
             raise Truncated(f"{path}: expected {need} bytes, found {size}")
         out = np.empty((n1, n2, n3))
-        for k, run in _runs((n1, n2, n3)):
+        for span, run in runs((n3, n1, n2), RUN_BYTES, "<f8"):
             if fh.readinto(run) < run.nbytes:
                 raise Truncated(f"{path}: file shrank while being read")
-            out[:, :, k:k + len(run)] = run.transpose(1, 2, 0)
+            out[:, :, span] = run.transpose(1, 2, 0)
     return out
 
 

@@ -15,15 +15,15 @@ The E-step soft-thresholds T = X - L' - Y/mu at kappa = lambda/mu, so
 E' = T - clip(T, kappa) and, exactly, Y'/mu' = -clip(T, kappa) * mu/mu'. The
 loop therefore holds two tensors, L and T, and the half spectrum of
 X - E - Y/mu, which ``half_svt`` thresholds in place; E is formed once, at
-exit. One sweep over chunks of rows of X, of at most ``core.BLOCK_BYTES``,
-transforms each chunk's rows back, writes L's next rows over their spent ones,
-clips the rows of T for E and Y/mu, writes the next T over them, takes the
-changes and the gap there and transforms the rows' next X - E - Y/mu forward
-into the spectrum. The FFTs act on tubes, so the chunks leave every byte as
-one whole transform would. It
-stops when the successive changes of L and E and the feasibility gap are all
-below eps in max norm. Non-convergence is a reported outcome, not an exception:
-phase-transition experiments need failed cells as data points.
+exit. One sweep over chunks of rows of X, the runs of ``core.BLOCK_BYTES``
+that ``core.runs`` walks, transforms each chunk's rows back, writes L's next
+rows over their spent ones, clips the rows of T for E and Y/mu, writes the next
+T over them, takes the changes and the gap there and transforms the rows' next
+X - E - Y/mu forward into the spectrum. The FFTs act on tubes, so the chunks
+leave every byte as one whole transform would. It stops when the successive
+changes of L and E and the feasibility gap are all below eps in max norm.
+Non-convergence is a reported outcome, not an exception: phase-transition
+experiments need failed cells as data points.
 """
 
 import math
@@ -32,15 +32,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .core import WarmStart, as_tensor3, from_half_spectrum, half_spectrum, half_svt, linf_norm
+from .core import WarmStart, as_tensor3, from_half_spectrum, half_spectrum, half_svt, linf_norm, runs
 from .errors import NonFiniteInput
 from .prox import soft_threshold
 
 
 def default_lambda(n1, n2, n3):
     """Regularization weight 1 / sqrt(max(n1, n2) * n3)."""
-    if min(n1, n2, n3) < 1:
-        raise ValueError(f"dimensions must be positive, got ({n1}, {n2}, {n3})")
+    if not all(map(core.is_integer, (n1, n2, n3))) or min(n1, n2, n3) < 1:
+        raise ValueError(f"dimensions must be positive integers, got ({n1}, {n2}, {n3})")
     return 1.0 / math.sqrt(max(n1, n2) * n3)
 
 
@@ -59,10 +59,10 @@ class SolverConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        # A bool is an int to Python; an infinite lam would force E = 0.
-        if self.lam is not None and (isinstance(self.lam, bool) or not 0 < self.lam < math.inf):
+        # A bool, Python's or numpy's, compares as 1; an infinite lam would force E = 0.
+        if self.lam is not None and (isinstance(self.lam, (bool, np.bool_)) or not 0 < self.lam < math.inf):
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
-        if isinstance(self.eps, bool) or not 0 < self.eps < math.inf:
+        if isinstance(self.eps, (bool, np.bool_)) or not 0 < self.eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not core.is_integer(self.max_iters) or not self.max_iters >= 1:
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters}")
@@ -101,12 +101,10 @@ def solve(x, cfg=None):
         cfg = SolverConfig()
     lam = cfg.lam if cfg.lam is not None else default_lambda(*x.shape)
 
-    n1, n2, n3 = x.shape
+    n3 = x.shape[2]
     l_cur = np.zeros_like(x)
     t_cur = np.zeros_like(x)  # x - l - Y/mu at the last E-step, whose clip holds E and Y/mu
     stack = half_spectrum(x)  # of x - e - Y/mu, thresholded in place, rows renewed per chunk
-    step = max(1, min(n1, core.BLOCK_BYTES // max(1, x.itemsize * n2 * n3)))  # rows per chunk
-    chunks = [slice(i, min(i + step, n1)) for i in range(0, n1, step)]
     history = []
     mu = MU0
     kappa = ratio = 0.0  # the last E-step's lam / mu and mu / mu_next; t_cur = 0 needs neither
@@ -116,10 +114,9 @@ def solve(x, cfg=None):
         mu_next = min(mu * RHO, MU_MAX)
         half_svt(stack, n3, 1.0 / mu, warm)
         res = np.zeros(3)  # dl, de and dfit, the max over the chunks
-        a = buf = np.empty((step, n2, n3))  # the chunk temporary, a the rows in use
-        for rows in chunks:
+        for rows, a in runs(x.shape, core.BLOCK_BYTES):  # a, the chunk temporary
             l, t = l_cur[rows], t_cur[rows]
-            a = from_half_spectrum(stack[:, rows], n3, out=buf[:rows.stop - rows.start])  # l_new
+            from_half_spectrum(stack[:, rows], n3, out=a)  # l_new
             dl = linf_norm(np.subtract(a, l, out=l))  # into the spent iterate's rows
             np.copyto(l, a)
             t -= np.clip(t, -kappa, kappa, out=a)  # e_cur, as soft_threshold forms it
@@ -132,8 +129,7 @@ def solve(x, cfg=None):
             np.copyto(t, a)  # t_new over the spent rows
             np.multiply(np.clip(a, -lam / mu, lam / mu, out=a), mu / mu_next, out=a)  # -Y'/mu'
             half_spectrum(np.subtract(np.add(x[rows], a, out=a), e, out=a), out=stack[:, rows])
-            del e  # freed before the next chunk's
-        del a, buf  # not kept through the thresholding
+            del a, e  # e freed before the next chunk's; no view of the buffer outlives the walk
         kappa, ratio = lam / mu, mu / mu_next
         dl, de, dfit = res.tolist()
         history.append(max(dl, de, dfit))

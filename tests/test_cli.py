@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from tubalkit import core, decomposition, errors, io, norms
+from tubalkit import cli, core, decomposition, errors, io, norms
 from tubalkit.cli import EXIT_CODES, SOLUTION_RANK_TOL, grid, main, size
 from tubalkit.core import fro_norm
 from tubalkit.synth import gen_low_tubal_rank, gen_sparse_bernoulli
@@ -406,6 +406,20 @@ def test_every_library_error_has_an_exit_code():
     assert classes
     for cls in classes:
         assert any(issubclass(cls, row) for row, _ in EXIT_CODES), cls.__name__
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["synth", "--n1", "20", "--n2", "20", "--n3", "8", "--rank", "2", "--sparsity-rho", "0.05", "--seed", "1"],
+     cli.EXIT_OK),
+    (["synth", "--n1", "x"], cli.EXIT_USAGE),
+], ids=["ok", "usage"])
+def test_the_console_script_exits_with_the_command_code(monkeypatch, capsys, argv, code):
+    # pyproject.toml's entry point, cli.run, reads sys.argv and exits with the
+    # code that main returns or that the parser exits with.
+    monkeypatch.setattr(sys, "argv", ["tubalkit", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == code
 
 
 # ── reports ──────────────────────────────────────────────────────────────────

@@ -28,7 +28,7 @@ from tubalkit.core import (
 from tubalkit.errors import CountOutOfRange, RankOutOfRange, ShapeMismatch
 from tubalkit.norms import spectral_norm, tnn
 from tubalkit.prox import soft_threshold, tsvt
-from tubalkit.solver import SolverConfig, solve
+from tubalkit.solver import SolverConfig, default_lambda, solve
 from tubalkit.synth import gen_low_tubal_rank
 
 from oracles import (
@@ -273,11 +273,26 @@ def test_empty_third_mode_is_rejected():
     (lambda b: gen_low_tubal_rank(4, 4, 2, b, 0), RankOutOfRange),
     (lambda b: tubalkit.gen_sparse_bernoulli(4, 4, 2, b, "count", 0), CountOutOfRange),
     (lambda b: tubalkit.phase_grid(8, 2, [0.25], [0.1], b), ValueError),
-], ids=["identity_tensor", "best_rank_k", "max_iters", "dims", "rank", "count", "trials"])
+    (lambda b: default_lambda(b, 4, 4), ValueError),
+], ids=["identity_tensor", "best_rank_k", "max_iters", "dims", "rank", "count", "trials", "default_lambda"])
 def test_a_bool_is_not_an_integer(call, error, flag):
     # bool is a numbers.Integral: True would pass as 1, or reach numpy as a shape.
     with pytest.raises(error):
         call(flag)
+
+
+@pytest.mark.parametrize("n, nbytes, spans", [
+    (0, 64, []),
+    (3, 8, [(0, 1), (1, 2), (2, 3)]),  # one 16-byte entry, larger than the budget, per run
+    (6, 32, [(0, 2), (2, 4), (4, 6)]),  # an exact multiple of the budget
+    (5, 32, [(0, 2), (2, 4), (4, 5)]),  # a remainder
+], ids=["empty", "entry_over_budget", "multiple", "remainder"])
+def test_runs_walk_the_leading_axis_through_one_buffer(n, nbytes, spans):
+    walked = list(core.runs((n, 2), nbytes))
+    assert [(span.start, span.stop) for span, _ in walked] == spans
+    assert [buffer.shape for _, buffer in walked] == [(stop - start, 2) for start, stop in spans]
+    bases = {id(buffer.base) for _, buffer in walked}
+    assert len(bases) <= 1 and id(None) not in bases
 
 
 def test_l1_linf():

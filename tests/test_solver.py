@@ -6,9 +6,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubalkit import core, solver
 from tubalkit.core import fro_norm, linf_norm
@@ -56,6 +59,9 @@ def test_default_lambda_values():
     assert np.isclose(default_lambda(100, 100, 100), 1e-2)
     assert np.isclose(default_lambda(321, 481, 3), 1.0 / math.sqrt(481 * 3))
     assert np.isclose(default_lambda(50, 50, 1), 1.0 / math.sqrt(50))
+    for dims in [(0, 4, 4), (2.5, 4, 4), (4, 4.0, 4)]:
+        with pytest.raises(ValueError):
+            default_lambda(*dims)
 
 
 def test_solution_reports_the_lambda_used():
@@ -82,11 +88,19 @@ def test_config_validation():
     for field in ("lam", "eps"):
         with pytest.raises(ValueError):
             SolverConfig(**{field: float("inf")})
-    # A bool is an int to Python, but not a weight or a tolerance.
+    # A bool, Python's or numpy's, compares as a number, but is not a weight or a tolerance.
     for field in ("lam", "eps"):
-        for flag in (True, False):
+        for flag in (True, False, np.True_, np.False_):
             with pytest.raises(ValueError):
                 SolverConfig(**{field: flag})
+
+
+@pytest.mark.parametrize("shape", [(0, 5, 3), (5, 0, 3)], ids=["n1", "n2"])
+def test_an_empty_first_or_second_mode_solves(shape):
+    # As rank-0 skinny factors are: no rows to walk, or rows of no bytes.
+    sol = solve(np.zeros(shape), SolverConfig(lam=1.0))
+    assert sol.converged and sol.iters == 1
+    assert sol.l_hat.shape == sol.e_hat.shape == shape
 
 
 def test_solve_rejects_nonfinite():
@@ -231,6 +245,24 @@ def test_a_kept_rank_past_the_gate_leaves_the_solve_unchanged(monkeypatch):
     assert sol.svd_certified + sol.svd_fallbacks < sol.iters * (n3 // 2 + 1)  # the gate shut
     monkeypatch.setattr(core, "PARTIAL_SVD_FRACTION", 51)  # shut: 51 * OVERSAMPLE > 50
     exact = solve(x)
+    assert exact.svd_certified + exact.svd_fallbacks == 0
+    assert sol.iters == exact.iters
+    assert fro_norm(sol.l_hat - exact.l_hat) <= 1e-12 * fro_norm(exact.l_hat)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(n1=st.integers(12, 32), n2=st.integers(12, 32), n3=st.sampled_from([1, 2, 3, 8]),
+       rank_frac=st.floats(0, 1), rho=st.sampled_from([0.01, 0.03, 0.05, 0.1]), seed=st.integers(0, 99))
+def test_the_gate_leaves_drawn_solves_unchanged(n1, n2, n3, rank_frac, rho, seed):
+    # A rank below a third of the narrower side, so that the partial path
+    # serves the solves: it served all 50 draws here, 5 of them with
+    # fallbacks, with equal iterations and L within 8.2e-14 relative. The gate
+    # is shut by mock.patch: the monkeypatch fixture is not reset per example.
+    rank = 1 + int(rank_frac * ((min(n1, n2) - 1) // 3 - 1))
+    x = gen_low_tubal_rank(n1, n2, n3, rank, seed) + gen_sparse_bernoulli(n1, n2, n3, rho, "rho", seed + 1)
+    sol = solve(x)
+    with mock.patch.object(core, "PARTIAL_SVD_FRACTION", min(n1, n2) + 1):  # shut for any block
+        exact = solve(x)
     assert exact.svd_certified + exact.svd_fallbacks == 0
     assert sol.iters == exact.iters
     assert fro_norm(sol.l_hat - exact.l_hat) <= 1e-12 * fro_norm(exact.l_hat)
