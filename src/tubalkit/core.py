@@ -19,6 +19,9 @@ from its ``WarmStart``'s vectors, and thresholds every other slice exactly. The
 partial SVD is a shifted subspace iteration: each cycle is one Rayleigh-Ritz
 step and one step in a^H a, shifted so that it damps the singular values below
 the block's towards zero, and a slice is certified at the cycle it stops.
+``leading_half_svd``, behind the skinny t-SVD, runs the same partial SVD from
+fixed-seed columns and returns its triplets when it certifies every slice,
+else ``half_svd``'s.
 
 The kernels take the slices, and ``half_svt`` its start columns, from
 ``_batches`` at basic slices: each real one alone, the complex ones in
@@ -48,10 +51,16 @@ def as_tensor3(a):
     return a
 
 
+def is_bool(x):
+    """True for a Python or numpy bool, which compares as 0 or 1 but is no
+    dimension, count, rate, threshold or tolerance."""
+    return isinstance(x, (bool, np.bool_))
+
+
 def is_integer(x):
     """True for a Python or numpy integer other than a bool, the one type that
     the package takes for a dimension, rank, count or iteration budget."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    return isinstance(x, numbers.Integral) and not is_bool(x)
 
 
 def half_spectrum(a, out=None):
@@ -179,10 +188,11 @@ def _ct(a):
 
 
 def _fro_norms(x):
-    """The Frobenius norm of each matrix of the batch x, one matrix at a time:
-    np.linalg.norm over axes (1, 2) of a complex batch takes two batch-sized
-    temporaries, its conjugate and the product."""
-    return np.sqrt([np.vdot(m, m).real for m in x])
+    """The Frobenius norm of each matrix of the batch x, by one vecdot over its
+    flattened matrices: np.linalg.norm over axes (1, 2) of a complex batch
+    takes two batch-sized temporaries, its conjugate and the product."""
+    x = x.reshape(len(x), -1)
+    return np.sqrt(np.vecdot(x, x).real)
 
 
 def _certified(x, uk, tau):
@@ -196,10 +206,10 @@ def _certified(x, uk, tau):
     g = _ct(w) @ w if w.shape[0] >= w.shape[1] else w @ _ct(w)
     g /= tau * tau
     for _ in range(2):  # p = 1, then 2
-        if _fro_norms([g])[0] < 1.0:
+        if _fro_norms(g[None])[0] < 1.0:
             return True
         g = g @ g
-    return bool(_fro_norms([g])[0] < 1.0)
+    return bool(_fro_norms(g[None])[0] < 1.0)
 
 
 def _subspace_svd(a, v, tau):
@@ -212,8 +222,9 @@ def _subspace_svd(a, v, tau):
     v <- (a^H a / s_1^2 - h) v, h = (s_l / s_1)^2 / 2, which maps the Ritz
     values below s_l into [-h, h] and s_1 to 1 - h. A matrix stops at the
     first cycle whose triplets fit, keeps them and is certified there by
-    ``_certified``; one that does not fit within PARTIAL_SVD_CYCLES cycles is
-    not certified. So its result does not depend on the rest of the batch.
+    ``_certified``; one that does not fit within PARTIAL_SVD_CYCLES cycles,
+    or whose l Ritz values all exceed tau at the first cycle, is not
+    certified. So its result does not depend on the rest of the batch.
     The (n, l) temporaries are freed or overwritten where they die, so that
     few of them are alive at once."""
     # Contiguous, as the active subsets below are, so that a matrix meets the
@@ -239,8 +250,12 @@ def _subspace_svd(a, v, tau):
         r *= (sb > tau)[:, None, :]
         fit = _fro_norms(r) <= PARTIAL_SVD_TOL * scale[act]
         del r
-        for i in act[fit]:
+        # A block whose values all exceed tau at the first cycle may not hold
+        # every value above it: it stops there, uncertified.
+        full = (sb[:, -1] > tau) & (cycle == 0)
+        for i in act[fit & ~full]:
             ok[i] = _certified(a[i], u[i] * (s[i] > tau), tau)
+        fit |= full
         if fit.all() or cycle == PARTIAL_SVD_CYCLES - 1:
             break
         if fit.any():
@@ -276,7 +291,8 @@ def half_svt(stack, n3, tau, warm=None):
     OVERSAMPLE (a quarter of the slice width: 10 columns, a kept rank of 7, on
     40-wide slices), each slice first gets its l leading triplets by shifted
     subspace iteration, started from the previous call's right singular
-    vectors, then fixed-seed random columns. It is certified when those with
+    vectors, then fixed-seed random columns. It is certified when some of its l
+    Ritz values are at most tau at the first cycle, and those with
     s > tau leave a residual ||a v - u s||_F at most PARTIAL_SVD_TOL * ||a||_F
     (u^H a = s v^H holds by construction) and an upper bound on the spectral
     norm of what they leave out is below tau; because the prox is
@@ -332,6 +348,45 @@ def half_svt(stack, n3, tau, warm=None):
             warm.certified += certified
             warm.fallbacks += h - certified
     return stack
+
+
+def leading_half_svd(stack, n3, rank_tol):
+    """The leading singular triplets (u, s, vh) of every half-spectrum slice,
+    as ``half_svd`` returns them, enough that the averaged singular values
+    above rank_tol times the largest are those of ``half_svd``.
+
+    The certified partial SVD of ``half_svt`` takes l = min(n1, n2) //
+    PARTIAL_SVD_FRACTION triplets of each slice, started from fixed-seed
+    random columns, at tau = rank_tol * sum_j w_j ||a_j||_F / (n3 sqrt(min(n1,
+    n2))): at most rank_tol times the largest averaged value, because s_j1 >=
+    ||a_j||_F / sqrt(min(n1, n2)). A certified slice has every singular value
+    beyond its kept triplets below tau, so an averaged value is off by less
+    than tau, and none beyond the l reaches the cut. A slice whose l values
+    all exceed tau at the first cycle is not certified. Unless every slice is
+    certified and no averaged value lies within tau of the cut, or when l = 0,
+    this returns ``half_svd(stack, n3)``.
+    """
+    h, n1, n2 = stack.shape
+    l = min(n1, n2) // PARTIAL_SVD_FRACTION
+    if l:
+        # A non-finite or unconverged slice is left uncertified.
+        with np.errstate(all="ignore"):
+            tau = rank_tol * (half_weights(n3) @ _fro_norms(stack)) / (n3 * math.sqrt(min(n1, n2)))
+            u, s = np.empty((h, n1, l), dtype=np.complex128), np.empty((h, l))
+            vh = np.empty((h, l, n2), dtype=np.complex128)
+            start = np.random.default_rng(0).standard_normal((h, n2, l))
+            for pos, a, v in _batches(n3, stack, start):
+                try:
+                    u[pos], s[pos], vh[pos], ok = _subspace_svd(a, v, tau)
+                except np.linalg.LinAlgError:
+                    break
+                if not ok.all():
+                    break
+            else:
+                avg = half_weights(n3) @ s / n3
+                if not np.any(np.abs(avg - rank_tol * avg.max()) <= tau):
+                    return u, s, vh
+    return half_svd(stack, n3)
 
 
 def inner(a, b):

@@ -18,7 +18,9 @@ from .core import (
     half_spectrum,
     half_svd,
     half_weights,
+    is_bool,
     is_integer,
+    leading_half_svd,
 )
 from .errors import RankOutOfRange
 
@@ -65,10 +67,11 @@ def _rank_from_avg(avg, rank_tol):
 
 
 def skinny_tsvd(a):
-    """Rank-truncated t-SVD with u: (n1, r, n3), s: (r, r, n3), v: (n2, r, n3)."""
+    """Rank-truncated t-SVD with u: (n1, r, n3), s: (r, r, n3), v: (n2, r, n3),
+    from the leading Fourier triplets that ``core.leading_half_svd`` gives."""
     a = as_tensor3(a)
     n3 = a.shape[2]
-    u, s, vh = half_svd(half_spectrum(a), n3)
+    u, s, vh = leading_half_svd(half_spectrum(a), n3, DEFAULT_RANK_TOL)
     r = _rank_from_avg(_avg_singvals(s, n3), DEFAULT_RANK_TOL)
     return _factors(u[:, :, :r], s[:, :r], vh[:, :r, :], n3, "skinny")
 
@@ -83,7 +86,7 @@ def singular_values(a):
 
 def tubal_rank(a, rank_tol=DEFAULT_RANK_TOL):
     """Number of singular values above rank_tol relative to the largest."""
-    if not rank_tol > 0:
+    if is_bool(rank_tol) or not rank_tol > 0:
         raise ValueError(f"rank_tol must be positive, got {rank_tol}")
     return _rank_from_avg(singular_values(a), rank_tol)
 

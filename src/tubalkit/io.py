@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import as_tensor3, linf_norm, runs
+from .core import as_tensor3, is_bool, linf_norm, runs
 from .errors import (
     BadMagic,
     DimensionOverflow,
@@ -158,7 +158,7 @@ def corrupt_pixels(a, fraction, seed):
     """
     a = as_tensor3(a)
     n1, n2, n3 = a.shape
-    if not 0.0 <= fraction <= 1.0:
+    if is_bool(fraction) or not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction {fraction} outside [0, 1]")
     count = int(np.floor(fraction * n1 * n2))
     rng = np.random.default_rng(seed)

@@ -13,13 +13,13 @@ SVDs.
 
 import numpy as np
 
-from .core import as_tensor3, from_half_spectrum, half_spectrum, half_svt
+from .core import as_tensor3, from_half_spectrum, half_spectrum, half_svt, is_bool
 
 
 def soft_threshold(x, kappa, *, out=None):
     """Elementwise sign(x) * max(|x| - kappa, 0) of a real array of any rank,
     written into `out` if given, which may be x itself."""
-    if not kappa >= 0:
+    if is_bool(kappa) or not kappa >= 0:
         raise ValueError(f"threshold must be nonnegative, got {kappa}")
     if np.iscomplexobj(x):
         raise TypeError("expected a real array, got complex input")
@@ -36,7 +36,7 @@ def tsvt(y, tau):
     singular values of each half-spectrum slice and inverting the real FFT.
     For n3 = 1 this is matrix singular value thresholding, bit for bit.
     """
-    if not tau >= 0:
+    if is_bool(tau) or not tau >= 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     y = as_tensor3(y)
     n3 = y.shape[2]

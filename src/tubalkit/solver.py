@@ -60,9 +60,9 @@ class SolverConfig:
 
     def __post_init__(self):
         # A bool, Python's or numpy's, compares as 1; an infinite lam would force E = 0.
-        if self.lam is not None and (isinstance(self.lam, (bool, np.bool_)) or not 0 < self.lam < math.inf):
+        if self.lam is not None and (core.is_bool(self.lam) or not 0 < self.lam < math.inf):
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
-        if isinstance(self.eps, (bool, np.bool_)) or not 0 < self.eps < math.inf:
+        if core.is_bool(self.eps) or not 0 < self.eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not core.is_integer(self.max_iters) or not self.max_iters >= 1:
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ctranspose, tprod
-from .core import fro_norm, is_integer
+from .core import fro_norm, is_bool, is_integer
 from .errors import CountOutOfRange, RankOutOfRange, ShapeMismatch
 from .solver import SolverConfig, solve
 
@@ -59,8 +59,8 @@ def gen_sparse_bernoulli(n1, n2, n3, m_or_rho, mode, seed):
             out.ravel()[support] = signs
     elif mode == "rho":
         rho = float(m_or_rho)
-        if not 0.0 <= rho <= 1.0:
-            raise CountOutOfRange(f"rate {rho} outside [0, 1]")
+        if is_bool(m_or_rho) or not 0.0 <= rho <= 1.0:
+            raise CountOutOfRange(f"rate {m_or_rho} outside [0, 1]")
         u = rng.random(size=(n1, n2, n3))
         out[u < rho / 2.0] = 1.0
         out[u > 1.0 - rho / 2.0] = -1.0
@@ -94,13 +94,13 @@ def phase_grid(n, n3, r_fracs, rho_ss, trials, success_tol=1e-3, seed=0):
         raise ValueError("grid axes must be nonempty")
     if not is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials}")
-    if not success_tol > 0:
+    if is_bool(success_tol) or not success_tol > 0:
         raise ValueError(f"success_tol must be positive, got {success_tol}")
     ranks = [np.floor(r_frac * n + 0.5) for r_frac in r_fracs]  # rounded half up
     for r_frac, r in zip(r_fracs, ranks):
-        if not 1 <= r <= n:  # NaN included
+        if is_bool(r_frac) or not 1 <= r <= n:  # NaN included
             raise RankOutOfRange(f"r_frac {r_frac} rounds to rank {r:g}, outside [1, {n}]")
-    if not all(0.0 <= float(rho_s) <= 1.0 for rho_s in rho_ss):  # NaN included
+    if any(is_bool(rho_s) or not 0.0 <= float(rho_s) <= 1.0 for rho_s in rho_ss):  # NaN included
         raise CountOutOfRange(f"every rate must lie in [0, 1], got {rho_ss}")
     children = np.random.SeedSequence(seed).spawn(len(r_fracs) * len(rho_ss) * trials)
     grid = []

@@ -629,6 +629,29 @@ def test_batches_sit_at_basic_slices(monkeypatch, n3, widths):
     assert sorted(seen) == list(range(h))
 
 
+@pytest.mark.parametrize("shape", [(1, 3, 4), (5, 7, 6), (3, 40, 40), (2, 1, 9)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_fro_norms_are_the_norms_of_the_matrices(shape, dtype):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype is complex else 0)
+    expected = [np.linalg.norm(m) for m in x]
+    assert np.allclose(core._fro_norms(x), expected, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("n3", [1, 2, 7])
+def test_leading_half_svd_is_half_svds_unless_every_slice_certifies(monkeypatch, n3):
+    stack = half_spectrum(gen_low_tubal_rank(40, 30, n3, 3, seed=n3))
+    exact = core.half_svd(stack, n3)
+    u, s, vh = core.leading_half_svd(stack, n3, 1e-10)
+    assert (u.shape[2], s.shape[1], vh.shape[1]) == (30 // core.PARTIAL_SVD_FRACTION,) * 3
+    assert np.allclose(s[:, :3], exact[1][:, :3], rtol=1e-12, atol=0)
+    # One slice, the last, fails its certificate: the whole spectrum takes half_svd.
+    passes = core._certified
+    monkeypatch.setattr(core, "_certified", lambda x, uk, tau: passes(x, uk, tau) and not np.array_equal(x, stack[-1]))
+    for got, want in zip(core.leading_half_svd(stack, n3, 1e-10), exact):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_exact_half_svt_rebuilds_real_slices_in_place():
     # n3 = 2: both slices are real. Each is copied, decomposed and rebuilt
     # into the stack alone, so no second spectrum is ever held.

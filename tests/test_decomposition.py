@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tubalkit.decomposition as decomposition
+from tubalkit import core
 from tubalkit.algebra import ctranspose, identity_tensor, is_fdiagonal, is_orthogonal, tprod
 from tubalkit.core import fro_norm
 from tubalkit.decomposition import (
@@ -14,7 +17,7 @@ from tubalkit.decomposition import (
     tsvd,
     tubal_rank,
 )
-from tubalkit.errors import RankOutOfRange
+from tubalkit.errors import NumericalFailure, RankOutOfRange
 from tubalkit.norms import spectral_norm, tnn
 
 from oracles import SvdCounter
@@ -121,6 +124,117 @@ def test_skinny_full_rank():
     assert skinny_tsvd(a).u.shape[1] == 4
 
 
+# ── the certified partial path of the skinny t-SVD ───────────────────────────
+
+
+def skinny_both_ways(a):
+    """skinny_tsvd(a), the number of core._svd calls it made, and skinny_tsvd(a)
+    with the gate shut, through half_svd alone."""
+    calls, svd = [], core._svd
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+        fast = skinny_tsvd(a)
+        svds = len(calls)
+        mp.setattr(core, "PARTIAL_SVD_FRACTION", 1 << 30)
+        exact = skinny_tsvd(a)
+    return fast, svds, exact
+
+
+def assert_same_bytes(fast, exact):
+    for x, y in zip((fast.u, fast.s, fast.v), (exact.u, exact.s, exact.v)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def assert_matches_exact_skinny(fast, exact):
+    r, n3 = exact.u.shape[1], exact.u.shape[2]
+    assert fast.u.shape == exact.u.shape and fast.v.shape == exact.v.shape
+    assert fro_norm(fast.s - exact.s) <= 1e-12 * fro_norm(exact.s)
+    assert rel_err(reconstruct(fast), reconstruct(exact)) <= 1e-12
+    eye = identity_tensor(r, n3)
+    for f in (fast.u, fast.v):
+        assert fro_norm(tprod(ctranspose(f), f) - eye) <= 1e-12 * max(r, 1)
+
+
+@pytest.mark.parametrize("n3", [1, 2, 3, 8])
+@pytest.mark.parametrize("n1, n2", [(30, 21), (21, 30)], ids=["tall", "wide"])
+def test_skinny_tsvd_of_a_low_rank_tensor_takes_no_full_svd(n1, n2, n3):
+    # l = 21 // 4 = 5 columns per slice. Ranks 1 to l - 1 certify at the first
+    # cycle; a block whose l values all exceed tau, ranks l and l + 1, leaves
+    # for the exact path, and so does the zero tensor, whose tau is 0.
+    l = min(n1, n2) // core.PARTIAL_SVD_FRACTION
+    for rank in (0, 1, l - 1, l, l + 1):
+        fast, svds, exact = skinny_both_ways(rank_r_tensor(n1, n2, n3, rank, seed=rank + n3))
+        assert exact.u.shape[1] == rank
+        assert (svds == 0) == (0 < rank < l), rank
+        if svds:
+            assert_same_bytes(fast, exact)
+        else:
+            assert_matches_exact_skinny(fast, exact)
+
+
+def test_skinny_tsvd_of_a_dense_tensor_leaves_the_partial_path_after_one_cycle(monkeypatch):
+    # Slice 0, the first batch, fills its block with values above tau at its
+    # first Rayleigh-Ritz step; then every slice takes the exact SVD, in three
+    # batches: the real slices 0 and 4 alone, the complex ones in one block.
+    steps, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: steps.append(1) or eigh(*args, **kwargs))
+    fast, svds, exact = skinny_both_ways(np.random.default_rng(3).normal(size=(40, 36, 8)))
+    assert len(steps) == 1 and svds == 3
+    assert_same_bytes(fast, exact)
+
+
+@pytest.mark.parametrize("shape", [(0, 40, 3), (40, 0, 3), (3, 40, 5)], ids=["n1", "n2", "narrow"])
+def test_skinny_tsvd_with_no_partial_columns_is_the_exact_path(monkeypatch, shape):
+    # min(n1, n2) < PARTIAL_SVD_FRACTION leaves l = 0 columns: no partial step.
+    monkeypatch.setattr(core, "_subspace_svd", None)
+    fast, svds, exact = skinny_both_ways(np.random.default_rng(4).normal(size=shape))
+    assert svds > 0
+    assert_same_bytes(fast, exact)
+
+
+@pytest.mark.parametrize("second, partial", [(3e-10, True), (1.05e-10, False), (0.95e-10, False), (0.3e-10, True)])
+def test_skinny_tsvd_leaves_a_value_near_the_cut_to_the_exact_path(second, partial):
+    # One 40 x 30 slice with singular values 1 and `second`: the cut is 1e-10
+    # and tau = 1e-10 / sqrt(30), 1.8e-11. A second value within tau of the
+    # cut could be counted on the other side of it by the partial path.
+    rng = np.random.default_rng(6)
+    u, v = (np.linalg.qr(rng.normal(size=(n, 2)))[0] for n in (40, 30))
+    a = ((u * [1.0, second]) @ v.T)[:, :, None]
+    fast, svds, exact = skinny_both_ways(a)
+    assert (svds == 0) == partial
+    assert fast.u.shape[1] == exact.u.shape[1] == (2 if second > 1e-10 else 1)
+
+
+def test_skinny_tsvd_of_a_nan_tensor_is_a_numerical_failure():
+    a = rank_r_tensor(30, 21, 4, 2, seed=5)
+    a[3, 4, 1] = np.nan
+    with pytest.raises(NumericalFailure):
+        skinny_tsvd(a)
+
+
+def test_skinny_tsvd_of_an_infinite_tensor_is_the_exact_paths():
+    # Its partial SVD is not certified, and warns of nothing on the way.
+    a = rank_r_tensor(30, 21, 4, 2, seed=5)
+    a[3, 4, 1] = np.inf
+    fast, svds, exact = skinny_both_ways(a)
+    assert svds > 0
+    assert_same_bytes(fast, exact)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(n1=st.integers(8, 28), n2=st.integers(8, 28), n3=st.sampled_from([1, 2, 3, 8]),
+       rank=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_skinny_tsvd_matches_the_exact_path_property(n1, n2, n3, rank, seed):
+    l = min(n1, n2) // core.PARTIAL_SVD_FRACTION
+    fast, svds, exact = skinny_both_ways(rank_r_tensor(n1, n2, n3, rank, seed))
+    assert exact.u.shape[1] == rank
+    assert (svds == 0) == (0 < rank < l)
+    if svds:
+        assert_same_bytes(fast, exact)
+    else:
+        assert_matches_exact_skinny(fast, exact)
+
+
 # ── singular values and ranks ────────────────────────────────────────────────
 
 
@@ -184,7 +298,8 @@ def test_average_rank_bounded_by_tubal_rank():
 
 @pytest.mark.parametrize("rank_fn", [tubal_rank])
 def test_rank_tol_must_be_positive(rank_fn):
-    for rank_tol in (0.0, -1e-3, np.nan):
+    # A bool compares as 0 or 1: True would pass as a tolerance of 1.
+    for rank_tol in (0.0, -1e-3, np.nan, True, False, np.True_):
         with pytest.raises(ValueError):
             rank_fn(np.ones((2, 2, 2)), rank_tol)
 

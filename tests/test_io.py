@@ -334,6 +334,13 @@ def test_corrupt_hits_whole_tubes():
     assert np.all(out[mask, :] != 0.5)
 
 
+@pytest.mark.parametrize("fraction", [-0.1, 1.5, np.nan, True, False, np.True_])
+def test_corrupt_rejects_a_fraction_outside_the_unit_interval(fraction):
+    # A bool compares as 0 or 1: True would replace every pixel.
+    with pytest.raises(ValueError):
+        io.corrupt_pixels(np.zeros((4, 4, 3)), fraction, seed=0)
+
+
 def test_corrupt_deterministic():
     a = np.zeros((8, 8, 3))
     out1, m1 = io.corrupt_pixels(a, 0.2, seed=4)

@@ -62,7 +62,7 @@ def test_soft_threshold_sampled_optimality():
 
 
 def test_soft_threshold_rejects_negative():
-    for kappa in (-0.1, np.nan):
+    for kappa in (-0.1, np.nan, True, False, np.True_):  # a bool compares as 0 or 1
         with pytest.raises(ValueError):
             soft_threshold(np.zeros((1, 1, 1)), kappa)
 
@@ -208,7 +208,7 @@ def test_tsvt_commutes_with_ctranspose(dims, tau, seed):
 
 
 def test_tsvt_rejects_negative_tau():
-    for tau in (-1.0, np.nan):
+    for tau in (-1.0, np.nan, True, False, np.True_):  # a bool compares as 0 or 1
         with pytest.raises(ValueError):
             tsvt(np.zeros((2, 2, 2)), tau)
 

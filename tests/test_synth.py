@@ -87,6 +87,9 @@ def test_sparse_range_errors():
         gen_sparse_bernoulli(3, 3, 2, 2.5, "count", seed=0)
     with pytest.raises(CountOutOfRange):
         gen_sparse_bernoulli(2, 2, 2, 1.5, "rho", seed=0)
+    for flag in (True, False, np.True_):  # a bool compares as 0 or 1, not as a rate
+        with pytest.raises(CountOutOfRange):
+            gen_sparse_bernoulli(2, 2, 2, flag, "rho", seed=0)
     with pytest.raises(ValueError):
         gen_sparse_bernoulli(2, 2, 2, 1, "bogus", seed=0)
     for shape in ((2.5, 3, 2), (3, 3, 0), (3, -1, 2)):
@@ -120,6 +123,9 @@ def test_phase_grid_validation(monkeypatch):
         phase_grid(10, 3, [0.1], [0.1], trials=0, seed=0)
     with pytest.raises(ValueError):
         phase_grid(10, 3, [0.1], [0.1], trials=2.0, seed=0)
+    for success_tol in (0.0, np.nan, True, np.True_):  # a bool compares as 0 or 1
+        with pytest.raises(ValueError):
+            phase_grid(10, 3, [0.1], [0.1], trials=1, success_tol=success_tol, seed=0)
     for n, n3 in ((10.5, 3), (0, 3), (10, 0), (10, 2.0)):
         with pytest.raises(ShapeMismatch):
             phase_grid(n, n3, [0.1], [0.1], trials=1, seed=0)
@@ -133,14 +139,14 @@ def test_phase_grid_validation(monkeypatch):
         raise Solved
 
     monkeypatch.setattr(synth, "solve", solve)
-    for r_frac in (-0.5, 0.0, 0.04, 1.05, 1.1, np.nan, np.inf):
+    for r_frac in (-0.5, 0.0, 0.04, 1.05, 1.1, np.nan, np.inf, True, np.True_):
         with pytest.raises(RankOutOfRange):
             phase_grid(10, 3, [0.1, r_frac], [0.1], trials=1, seed=0)
     for r_frac in (0.05, 1.04):
         with pytest.raises(Solved):
             phase_grid(10, 3, [r_frac], [0.1], trials=1, seed=0)
     # So must every sparsity rate lie in [0, 1], before the first solve.
-    for rho_s in (1.5, -0.1, np.nan, np.inf):
+    for rho_s in (1.5, -0.1, np.nan, np.inf, True, np.False_):
         with pytest.raises(CountOutOfRange):
             phase_grid(10, 2, [0.1, 0.2], [0.1, rho_s], trials=1, seed=0)
     for rho_s in (0.0, 1.0):
