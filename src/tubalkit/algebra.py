@@ -8,7 +8,7 @@ followed by the inverse real FFT.
 
 import numpy as np
 
-from .core import as_tensor3, from_half_spectrum, half_matmul, half_spectrum, is_integer
+from .core import as_tensor3, from_half_spectrum, half_matmul, half_spectrum, is_bool, is_integer
 from .errors import ShapeMismatch
 
 
@@ -40,6 +40,8 @@ def identity_tensor(n, n3):
 
 def is_orthogonal(q, tol=1e-8):
     """True if q* * q = q * q* = identity within Frobenius deviation tol*sqrt(n)."""
+    if is_bool(tol) or not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     q = as_tensor3(q)
     n1, n2, n3 = q.shape
     if n1 != n2:
@@ -55,6 +57,8 @@ def is_orthogonal(q, tol=1e-8):
 
 def is_fdiagonal(s, tol=1e-8):
     """True if every frontal slice is diagonal within absolute tolerance tol."""
+    if is_bool(tol) or not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     s = as_tensor3(s)
     n1, n2, _ = s.shape
     off = np.abs(s)

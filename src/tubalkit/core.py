@@ -19,9 +19,9 @@ from its ``WarmStart``'s vectors, and thresholds every other slice exactly. The
 partial SVD is a shifted subspace iteration: each cycle is one Rayleigh-Ritz
 step and one step in a^H a, shifted so that it damps the singular values below
 the block's towards zero, and a slice is certified at the cycle it stops.
-``leading_half_svd``, behind the skinny t-SVD, runs the same partial SVD from
-fixed-seed columns and returns its triplets when it certifies every slice,
-else ``half_svd``'s.
+``leading_half_svd``, behind the skinny t-SVD and the tubal rank, runs the
+same partial SVD from fixed-seed columns and returns its triplets, or its
+values alone, when it certifies every slice, else ``half_svd``'s.
 
 The kernels take the slices, and ``half_svt`` its start columns, from
 ``_batches`` at basic slices: each real one alone, the complex ones in
@@ -139,11 +139,16 @@ def _batches(n3, *stacks):
 
 
 def _svd(a, **kwargs):
-    """np.linalg.svd of a batch of matrices; non-convergence is a NumericalFailure."""
+    """np.linalg.svd of a batch of matrices. Non-convergence, which a NaN
+    entry causes, and a non-finite singular value, which an infinite one
+    returns without raising, are a NumericalFailure."""
     try:
-        return np.linalg.svd(a, **kwargs)
+        out = np.linalg.svd(a, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"per-slice SVD did not converge: {exc}") from exc
+    if not np.isfinite(out[1] if kwargs.get("compute_uv", True) else out).all():
+        raise NumericalFailure("per-slice SVD returned a non-finite singular value")
+    return out
 
 
 def half_svd(stack, n3, full_matrices=False, compute_uv=True):
@@ -350,10 +355,11 @@ def half_svt(stack, n3, tau, warm=None):
     return stack
 
 
-def leading_half_svd(stack, n3, rank_tol):
+def leading_half_svd(stack, n3, rank_tol, compute_uv=True):
     """The leading singular triplets (u, s, vh) of every half-spectrum slice,
-    as ``half_svd`` returns them, enough that the averaged singular values
-    above rank_tol times the largest are those of ``half_svd``.
+    or s alone when not compute_uv, as ``half_svd`` returns them, enough that
+    the averaged singular values above rank_tol times the largest are those
+    of ``half_svd``.
 
     The certified partial SVD of ``half_svt`` takes l = min(n1, n2) //
     PARTIAL_SVD_FRACTION triplets of each slice, started from fixed-seed
@@ -364,7 +370,9 @@ def leading_half_svd(stack, n3, rank_tol):
     than tau, and none beyond the l reaches the cut. A slice whose l values
     all exceed tau at the first cycle is not certified. Unless every slice is
     certified and no averaged value lies within tau of the cut, or when l = 0,
-    this returns ``half_svd(stack, n3)``.
+    this returns ``half_svd(stack, n3, compute_uv=compute_uv)``: without
+    vectors, a dense stack pays one cycle on its first slice beyond the
+    values-only SVD.
     """
     h, n1, n2 = stack.shape
     l = min(n1, n2) // PARTIAL_SVD_FRACTION
@@ -372,21 +380,24 @@ def leading_half_svd(stack, n3, rank_tol):
         # A non-finite or unconverged slice is left uncertified.
         with np.errstate(all="ignore"):
             tau = rank_tol * (half_weights(n3) @ _fro_norms(stack)) / (n3 * math.sqrt(min(n1, n2)))
-            u, s = np.empty((h, n1, l), dtype=np.complex128), np.empty((h, l))
-            vh = np.empty((h, l, n2), dtype=np.complex128)
+            s = np.empty((h, l))
+            if compute_uv:  # else each batch's vectors are dropped with it
+                u, vh = np.empty((h, n1, l), dtype=np.complex128), np.empty((h, l, n2), dtype=np.complex128)
             start = np.random.default_rng(0).standard_normal((h, n2, l))
             for pos, a, v in _batches(n3, stack, start):
                 try:
-                    u[pos], s[pos], vh[pos], ok = _subspace_svd(a, v, tau)
+                    bu, s[pos], bvh, ok = _subspace_svd(a, v, tau)
                 except np.linalg.LinAlgError:
                     break
                 if not ok.all():
                     break
+                if compute_uv:
+                    u[pos], vh[pos] = bu, bvh
             else:
                 avg = half_weights(n3) @ s / n3
                 if not np.any(np.abs(avg - rank_tol * avg.max()) <= tau):
-                    return u, s, vh
-    return half_svd(stack, n3)
+                    return (u, s, vh) if compute_uv else s
+    return half_svd(stack, n3, compute_uv=compute_uv)
 
 
 def inner(a, b):

@@ -85,10 +85,15 @@ def singular_values(a):
 
 
 def tubal_rank(a, rank_tol=DEFAULT_RANK_TOL):
-    """Number of singular values above rank_tol relative to the largest."""
+    """Number of singular values above rank_tol relative to the largest,
+    counted off the leading values that ``core.leading_half_svd`` certifies,
+    else off every value."""
     if is_bool(rank_tol) or not rank_tol > 0:
         raise ValueError(f"rank_tol must be positive, got {rank_tol}")
-    return _rank_from_avg(singular_values(a), rank_tol)
+    a = as_tensor3(a)
+    n3 = a.shape[2]
+    s = leading_half_svd(half_spectrum(a), n3, rank_tol, compute_uv=False)
+    return _rank_from_avg(_avg_singvals(s, n3), rank_tol)
 
 
 def average_rank(a):

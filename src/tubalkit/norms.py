@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ctranspose, tprod
-from .core import as_tensor3, fro_norm, half_spectrum, half_svd, linf_norm
+from .core import as_tensor3, fro_norm, half_spectrum, half_svd, is_bool, linf_norm
 from .decomposition import singular_values, skinny_tsvd
 from .errors import ShapeMismatch, ZeroTensor
 
@@ -68,6 +68,8 @@ def check_subgradient(a, w, tol=1e-8):
     """Verify that u * v^T + w is a subgradient of the nuclear norm at `a`:
     w must be orthogonal to the skinny factors on both sides and have
     spectral norm at most 1 (within tol)."""
+    if is_bool(tol) or not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     a = as_tensor3(a)
     w = as_tensor3(w)
     if a.shape != w.shape:

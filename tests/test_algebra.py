@@ -163,6 +163,17 @@ def test_dense_tensor_not_fdiagonal():
     assert not is_fdiagonal(rng.normal(size=(3, 3, 2)), tol=1e-6)
 
 
+@pytest.mark.parametrize("predicate", [is_orthogonal, is_fdiagonal])
+def test_predicates_reject_a_bool_nan_or_negative_tol(predicate):
+    # A bool compares as 0 or 1: True would pass as a tolerance of 1, and a
+    # NaN or negative one would answer False whatever the tensor.
+    eye = identity_tensor(4, 3)
+    for tol in (True, False, np.True_, np.nan, -1e-3, -np.inf):
+        with pytest.raises(ValueError):
+            predicate(eye + 0.3, tol)
+    assert predicate(eye, 0)
+
+
 def test_orthogonality_needs_square():
     with pytest.raises(ShapeMismatch):
         is_orthogonal(np.zeros((2, 3, 2)))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tubalkit.decomposition as decomposition
@@ -18,7 +18,8 @@ from tubalkit.decomposition import (
     tubal_rank,
 )
 from tubalkit.errors import NumericalFailure, RankOutOfRange
-from tubalkit.norms import spectral_norm, tnn
+from tubalkit.norms import incoherence, spectral_norm, tnn
+from tubalkit.prox import tsvt
 
 from oracles import SvdCounter
 
@@ -127,12 +128,18 @@ def test_skinny_full_rank():
 # ── the certified partial path of the skinny t-SVD ───────────────────────────
 
 
+def spy(mp, name):
+    """A list that gets the keyword arguments of each later call to core.`name`."""
+    calls, f = [], getattr(core, name)
+    mp.setattr(core, name, lambda *args, **kwargs: calls.append(kwargs) or f(*args, **kwargs))
+    return calls
+
+
 def skinny_both_ways(a):
     """skinny_tsvd(a), the number of core._svd calls it made, and skinny_tsvd(a)
     with the gate shut, through half_svd alone."""
-    calls, svd = [], core._svd
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+        calls = spy(mp, "_svd")
         fast = skinny_tsvd(a)
         svds = len(calls)
         mp.setattr(core, "PARTIAL_SVD_FRACTION", 1 << 30)
@@ -192,33 +199,39 @@ def test_skinny_tsvd_with_no_partial_columns_is_the_exact_path(monkeypatch, shap
     assert_same_bytes(fast, exact)
 
 
-@pytest.mark.parametrize("second, partial", [(3e-10, True), (1.05e-10, False), (0.95e-10, False), (0.3e-10, True)])
-def test_skinny_tsvd_leaves_a_value_near_the_cut_to_the_exact_path(second, partial):
-    # One 40 x 30 slice with singular values 1 and `second`: the cut is 1e-10
-    # and tau = 1e-10 / sqrt(30), 1.8e-11. A second value within tau of the
-    # cut could be counted on the other side of it by the partial path.
+def two_values(second):
+    """One 40 x 30 slice with singular values 1 and `second`. At the default
+    rank_tol the cut is 1e-10 and tau = 1e-10 / sqrt(30), 1.8e-11: a second
+    value within tau of the cut could be counted on the other side of it by
+    the partial path."""
     rng = np.random.default_rng(6)
     u, v = (np.linalg.qr(rng.normal(size=(n, 2)))[0] for n in (40, 30))
-    a = ((u * [1.0, second]) @ v.T)[:, :, None]
-    fast, svds, exact = skinny_both_ways(a)
+    return ((u * [1.0, second]) @ v.T)[:, :, None]
+
+
+NEAR_CUT = [(3e-10, True), (1.05e-10, False), (0.95e-10, False), (0.3e-10, True)]
+
+
+@pytest.mark.parametrize("second, partial", NEAR_CUT)
+def test_skinny_tsvd_leaves_a_value_near_the_cut_to_the_exact_path(second, partial):
+    fast, svds, exact = skinny_both_ways(two_values(second))
     assert (svds == 0) == partial
     assert fast.u.shape[1] == exact.u.shape[1] == (2 if second > 1e-10 else 1)
 
 
-def test_skinny_tsvd_of_a_nan_tensor_is_a_numerical_failure():
-    a = rank_r_tensor(30, 21, 4, 2, seed=5)
-    a[3, 4, 1] = np.nan
-    with pytest.raises(NumericalFailure):
-        skinny_tsvd(a)
-
-
 def test_skinny_tsvd_of_an_infinite_tensor_is_the_exact_paths():
-    # Its partial SVD is not certified, and warns of nothing on the way.
+    # Its partial SVD is not certified, and warns of nothing on the way: the
+    # full SVD it falls back to raises, as the exact path does.
     a = rank_r_tensor(30, 21, 4, 2, seed=5)
     a[3, 4, 1] = np.inf
-    fast, svds, exact = skinny_both_ways(a)
-    assert svds > 0
-    assert_same_bytes(fast, exact)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy(mp, "_svd")
+        with pytest.raises(NumericalFailure):
+            skinny_tsvd(a)
+        assert calls
+        mp.setattr(core, "PARTIAL_SVD_FRACTION", 1 << 30)
+        with pytest.raises(NumericalFailure):
+            skinny_tsvd(a)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -277,6 +290,68 @@ def test_tubal_rank_edge_cases():
     assert tubal_rank(np.zeros((3, 3, 2))) == 0
     assert tubal_rank(identity_tensor(4, 3)) == 4
     assert tubal_rank(np.zeros((0, 4, 3))) == tubal_rank(np.zeros((4, 0, 3))) == 0
+
+
+def test_tubal_rank_of_a_low_rank_tensor_takes_no_full_svd(monkeypatch):
+    calls = spy(monkeypatch, "_svd")
+    assert tubal_rank(rank_r_tensor(40, 40, 8, 3, seed=10)) == 3
+    assert calls == []
+
+
+def test_tubal_rank_of_a_dense_tensor_takes_one_values_only_half_svd(monkeypatch):
+    # The partial SVD leaves at its first slice, and the exact count then
+    # computes no singular vectors.
+    calls = spy(monkeypatch, "half_svd")
+    assert tubal_rank(np.random.default_rng(11).normal(size=(40, 40, 8))) == 40
+    assert calls == [{"compute_uv": False}]
+
+
+@pytest.mark.parametrize("second, partial", NEAR_CUT)
+def test_tubal_rank_leaves_a_value_near_the_cut_to_the_exact_path(monkeypatch, second, partial):
+    calls = spy(monkeypatch, "_svd")
+    assert tubal_rank(two_values(second)) == (2 if second > 1e-10 else 1)
+    assert (calls == []) == partial
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(n1=st.integers(12, 40), n2=st.integers(12, 40), n3=st.sampled_from([1, 2, 3, 8]),
+       rank_tol=st.sampled_from([1e-10, 1e-6, 1e-3]), seed=st.integers(0, 2**32 - 1))
+def test_tubal_rank_is_the_exact_count_property(n1, n2, n3, rank_tol, seed):
+    # A rank of 0 to past l = min(n1, n2) // 4, one more tubal component whose
+    # value is 10^weak times the cut, and Gaussian noise whose largest value is
+    # about 10^noise times it. These are drawn from the seed, because Hypothesis
+    # would draw the simplest values, rank 0 and a value on the cut, most often.
+    # About one draw in six takes the partial path, some with a value near the
+    # cut; the rest fall back to the exact count.
+    assume(n1 != n2)
+    rng = np.random.default_rng(seed)
+    rank, weak, noise = rng.integers(0, min(n1, n2) // 4 + 2), rng.uniform(-1, 1), rng.uniform(-6, 1)
+    a = rank_r_tensor(n1, n2, n3, rank, seed)
+    top = singular_values(a)[0] if rank else 1.0
+    if rank:
+        b = rank_r_tensor(n1, n2, n3, 1, seed + 1)
+        a += b * (rank_tol * 10.0**weak * top / singular_values(b)[0])
+    a += rank_tol * top * 10.0**noise / (np.sqrt(n3) * (np.sqrt(n1) + np.sqrt(n2))) * rng.normal(size=a.shape)
+    assert tubal_rank(a, rank_tol) == decomposition._rank_from_avg(singular_values(a), rank_tol)
+
+
+NON_FINITE_CALLS = {
+    "tubal_rank": tubal_rank, "average_rank": average_rank, "skinny_tsvd": skinny_tsvd,
+    "tnn": tnn, "spectral_norm": spectral_norm, "singular_values": singular_values, "tsvd": tsvd,
+    "best_rank_k": lambda a: best_rank_k(a, 2), "tsvt": lambda a: tsvt(a, 0.5),
+    "incoherence": incoherence,
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", NON_FINITE_CALLS)
+def test_a_non_finite_entry_is_a_numerical_failure(name, bad):
+    # np.linalg.svd raises for a NaN but returns NaN values for an infinite
+    # entry; neither may come back as a rank, a norm or a factor.
+    a = rank_r_tensor(30, 21, 4, 2, seed=5)
+    a[3, 4, 1] = bad
+    with pytest.raises(NumericalFailure):
+        NON_FINITE_CALLS[name](a)
 
 
 def test_average_rank_identity_and_zero():

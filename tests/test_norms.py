@@ -172,6 +172,16 @@ def test_subgradient_zero_w():
     assert check_subgradient(a, np.zeros_like(a))
 
 
+def test_subgradient_rejects_a_bool_nan_or_negative_tol():
+    # A bool compares as 0 or 1: True would pass as a tolerance of 1, and a
+    # NaN or negative one would answer False whatever w is.
+    a = rank_r_tensor(4, 4, 3, 2, seed=11)
+    for tol in (True, False, np.True_, np.nan, -1e-3, -np.inf):
+        with pytest.raises(ValueError):
+            check_subgradient(a, np.zeros_like(a), tol)
+    assert check_subgradient(a, np.zeros_like(a), 0)
+
+
 def test_subgradient_rejects_column_space_w():
     a = rank_r_tensor(4, 4, 3, 2, seed=12)
     fac = skinny_tsvd(a)
