@@ -8,9 +8,10 @@ external tools.
 
 Exit codes: 0 ok, 1 I/O or format error (unreadable or unwritable file, bad
 file or image contents, non-finite tensor), 2 solver did not converge,
-3 numerical failure (a per-slice SVD did not converge), 64 usage (bad flags,
-a parameter value the library rejects, or a parameter or input tensor too
-large for a C integer or for memory).
+3 numerical failure (a per-slice SVD did not converge or returned a
+non-finite singular value), 64 usage (bad flags, a parameter value the
+library rejects, or a parameter or input tensor too large for a C integer or
+for memory).
 """
 
 import argparse
@@ -20,7 +21,7 @@ import sys
 import numpy as np
 
 from . import io
-from .core import l1_norm, fro_norm
+from .core import l1_norm, fro_norm, rank_above
 from .decomposition import singular_values
 from .errors import DataError, NumericalFailure
 from .solver import SolverConfig, solve
@@ -124,10 +125,11 @@ def _emit_report(args, x, sol, fields):
 
 
 def _low_rank_fields(l_hat):
-    """L's tubal rank at SOLUTION_RANK_TOL and its TNN, as tubal_rank and tnn
-    compute them, from one values-only SVD of its half spectrum."""
+    """L's tubal rank at SOLUTION_RANK_TOL, counted by core.rank_above, and its
+    TNN, as tubal_rank and tnn compute them, from one values-only SVD of its
+    half spectrum."""
     sv = singular_values(l_hat)
-    return int(np.count_nonzero(sv > SOLUTION_RANK_TOL * sv.max(initial=0.0))), float(np.sum(sv))
+    return rank_above(sv, SOLUTION_RANK_TOL), float(np.sum(sv))
 
 
 def _rel_err(estimate, truth):

@@ -20,8 +20,9 @@ partial SVD is a shifted subspace iteration: each cycle is one Rayleigh-Ritz
 step and one step in a^H a, shifted so that it damps the singular values below
 the block's towards zero, and a slice is certified at the cycle it stops.
 ``leading_half_svd``, behind the skinny t-SVD and the tubal rank, runs the
-same partial SVD from fixed-seed columns and returns its triplets, or its
-values alone, when it certifies every slice, else ``half_svd``'s.
+same partial SVD from fixed-seed columns and returns the tubal rank's
+triplets, or their values alone: the partial SVD's when it certifies every
+slice, else ``half_svd``'s, cut where ``rank_above`` counts the rank.
 
 The kernels take the slices, and ``half_svt`` its start columns, from
 ``_batches`` at basic slices: each real one alone, the complex ones in
@@ -68,7 +69,9 @@ def half_spectrum(a, out=None):
     or into `out`, which may be a view such as the rows stack[:, rows] of a larger stack."""
     if out is None:
         out = np.empty((a.shape[2] // 2 + 1, *a.shape[:2]), dtype=np.complex128)
-    np.fft.rfft(a, axis=2, out=np.moveaxis(out, 0, 2))
+    # The non-finite spectrum of a non-finite or huge tensor is _svd's to reject.
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.fft.rfft(a, axis=2, out=np.moveaxis(out, 0, 2))
     return out
 
 
@@ -139,9 +142,11 @@ def _batches(n3, *stacks):
 
 
 def _svd(a, **kwargs):
-    """np.linalg.svd of a batch of matrices. Non-convergence, which a NaN
-    entry causes, and a non-finite singular value, which an infinite one
-    returns without raising, are a NumericalFailure."""
+    """np.linalg.svd of a batch of matrices. A non-finite entry, which LAPACK
+    is not given, non-convergence and a non-finite singular value, which a
+    finite batch near the float64 limit can return, are a NumericalFailure."""
+    if not np.isfinite(a).all():
+        raise NumericalFailure("per-slice SVD of a slice with a non-finite entry")
     try:
         out = np.linalg.svd(a, **kwargs)
     except np.linalg.LinAlgError as exc:
@@ -217,6 +222,7 @@ def _certified(x, uk, tau):
     return bool(_fro_norms(g[None])[0] < 1.0)
 
 
+@np.errstate(all="ignore")
 def _subspace_svd(a, v, tau):
     """Top singular triplets of each matrix of the batch a by shifted subspace
     iteration from the columns v; returns (u, s, vh, certified).
@@ -230,6 +236,8 @@ def _subspace_svd(a, v, tau):
     ``_certified``; one that does not fit within PARTIAL_SVD_CYCLES cycles,
     or whose l Ritz values all exceed tau at the first cycle, is not
     certified. So its result does not depend on the rest of the batch.
+    It warns nothing: a non-finite matrix is left uncertified, and so is the
+    whole batch when LAPACK fails to converge on it.
     The (n, l) temporaries are freed or overwritten where they die, so that
     few of them are alive at once."""
     # Contiguous, as the active subsets below are, so that a matrix meets the
@@ -241,35 +249,38 @@ def _subspace_svd(a, v, tau):
     scale = _fro_norms(a)
     act, b = np.arange(m), a  # the matrices still stepping
     y = a @ v
-    for cycle in range(PARTIAL_SVD_CYCLES):
-        q = np.linalg.qr(y)[0]
-        z = _ct(_ct(q) @ b)  # a^H q
-        s2, w = np.linalg.eigh(_ct(z) @ z)
-        sb, w = np.sqrt(np.maximum(s2[:, ::-1], 0.0)), w[:, :, ::-1]
-        r, v = q @ w, z @ w  # r holds u, then the residual
-        del q, z
-        np.divide(v, sb[:, None, :], out=v, where=sb[:, None, :] > 0)  # z w is ~0 where s = 0
-        y = b @ v
-        u[act], s[act], vh[act] = r, sb, _ct(v)
-        np.subtract(y, np.multiply(r, sb[:, None, :], out=r), out=r)  # a v - u s
-        r *= (sb > tau)[:, None, :]
-        fit = _fro_norms(r) <= PARTIAL_SVD_TOL * scale[act]
-        del r
-        # A block whose values all exceed tau at the first cycle may not hold
-        # every value above it: it stops there, uncertified.
-        full = (sb[:, -1] > tau) & (cycle == 0)
-        for i in act[fit & ~full]:
-            ok[i] = _certified(a[i], u[i] * (s[i] > tau), tau)
-        fit |= full
-        if fit.all() or cycle == PARTIAL_SVD_CYCLES - 1:
-            break
-        if fit.any():
-            act, y, v, sb = (t[~fit] for t in (act, y, v, sb))
-            b = a[act]
-        # A matrix that does not fit keeps some s > tau >= 0, so s_1 > 0.
-        v *= ((sb[:, -1] / sb[:, 0]) ** 2 / 2)[:, None, None]  # h v
-        np.subtract(_ct(_ct(y) @ b) / sb[:, :1, None] ** 2, v, out=v)
-        y = b @ v
+    try:
+        for cycle in range(PARTIAL_SVD_CYCLES):
+            q = np.linalg.qr(y)[0]
+            z = _ct(_ct(q) @ b)  # a^H q
+            s2, w = np.linalg.eigh(_ct(z) @ z)
+            sb, w = np.sqrt(np.maximum(s2[:, ::-1], 0.0)), w[:, :, ::-1]
+            r, v = q @ w, z @ w  # r holds u, then the residual
+            del q, z
+            np.divide(v, sb[:, None, :], out=v, where=sb[:, None, :] > 0)  # z w is ~0 where s = 0
+            y = b @ v
+            u[act], s[act], vh[act] = r, sb, _ct(v)
+            np.subtract(y, np.multiply(r, sb[:, None, :], out=r), out=r)  # a v - u s
+            r *= (sb > tau)[:, None, :]
+            fit = _fro_norms(r) <= PARTIAL_SVD_TOL * scale[act]
+            del r
+            # A block whose values all exceed tau at the first cycle may not hold
+            # every value above it: it stops there, uncertified.
+            full = (sb[:, -1] > tau) & (cycle == 0)
+            for i in act[fit & ~full]:
+                ok[i] = _certified(a[i], u[i] * (s[i] > tau), tau)
+            fit |= full
+            if fit.all() or cycle == PARTIAL_SVD_CYCLES - 1:
+                break
+            if fit.any():
+                act, y, v, sb = (t[~fit] for t in (act, y, v, sb))
+                b = a[act]
+            # A matrix that does not fit keeps some s > tau >= 0, so s_1 > 0.
+            v *= ((sb[:, -1] / sb[:, 0]) ** 2 / 2)[:, None, None]  # h v
+            np.subtract(_ct(_ct(y) @ b) / sb[:, :1, None] ** 2, v, out=v)
+            y = b @ v
+    except np.linalg.LinAlgError:  # none of the batch is certified
+        ok[:] = False
     return u, s, vh, ok
 
 
@@ -326,12 +337,7 @@ def half_svt(stack, n3, tau, warm=None):
     for pos, a, start in _batches(n3, stack, basis):
         ok, triplets = np.zeros(len(a), dtype=bool), None
         if l:
-            # A non-finite or unconverged batch is left uncertified.
-            with np.errstate(all="ignore"):
-                try:
-                    *triplets, ok = _subspace_svd(a, start, tau)
-                except np.linalg.LinAlgError:
-                    pass
+            *triplets, ok = _subspace_svd(a, start, tau)
         certified += int(ok.sum())
         # A mixed batch goes one slice at a time, the certified ones first, so that
         # the full SVD copies no more of the batch than the exact path does.
@@ -355,11 +361,17 @@ def half_svt(stack, n3, tau, warm=None):
     return stack
 
 
+def rank_above(avg, rank_tol):
+    """How many of the averaged singular values avg exceed rank_tol times the
+    largest: the tubal rank at rank_tol, the one place that counts it."""
+    return int(np.count_nonzero(avg > rank_tol * avg.max(initial=0.0)))
+
+
 def leading_half_svd(stack, n3, rank_tol, compute_uv=True):
-    """The leading singular triplets (u, s, vh) of every half-spectrum slice,
-    or s alone when not compute_uv, as ``half_svd`` returns them, enough that
-    the averaged singular values above rank_tol times the largest are those
-    of ``half_svd``.
+    """The leading r singular triplets (u, s, vh) of every half-spectrum
+    slice, or s alone when not compute_uv, as ``half_svd`` returns them, for
+    r the tubal rank at rank_tol that ``rank_above`` counts off their
+    averaged values.
 
     The certified partial SVD of ``half_svt`` takes l = min(n1, n2) //
     PARTIAL_SVD_FRACTION triplets of each slice, started from fixed-seed
@@ -370,34 +382,34 @@ def leading_half_svd(stack, n3, rank_tol, compute_uv=True):
     than tau, and none beyond the l reaches the cut. A slice whose l values
     all exceed tau at the first cycle is not certified. Unless every slice is
     certified and no averaged value lies within tau of the cut, or when l = 0,
-    this returns ``half_svd(stack, n3, compute_uv=compute_uv)``: without
-    vectors, a dense stack pays one cycle on its first slice beyond the
-    values-only SVD.
+    r and the triplets come from ``half_svd(stack, n3,
+    compute_uv=compute_uv)``: without vectors, a dense stack pays one cycle
+    on its first slice beyond the values-only SVD.
     """
     h, n1, n2 = stack.shape
-    l = min(n1, n2) // PARTIAL_SVD_FRACTION
+    l, w = min(n1, n2) // PARTIAL_SVD_FRACTION, half_weights(n3)
+    certified = False
     if l:
-        # A non-finite or unconverged slice is left uncertified.
-        with np.errstate(all="ignore"):
-            tau = rank_tol * (half_weights(n3) @ _fro_norms(stack)) / (n3 * math.sqrt(min(n1, n2)))
-            s = np.empty((h, l))
-            if compute_uv:  # else each batch's vectors are dropped with it
-                u, vh = np.empty((h, n1, l), dtype=np.complex128), np.empty((h, l, n2), dtype=np.complex128)
-            start = np.random.default_rng(0).standard_normal((h, n2, l))
-            for pos, a, v in _batches(n3, stack, start):
-                try:
-                    bu, s[pos], bvh, ok = _subspace_svd(a, v, tau)
-                except np.linalg.LinAlgError:
-                    break
-                if not ok.all():
-                    break
-                if compute_uv:
-                    u[pos], vh[pos] = bu, bvh
-            else:
-                avg = half_weights(n3) @ s / n3
-                if not np.any(np.abs(avg - rank_tol * avg.max()) <= tau):
-                    return (u, s, vh) if compute_uv else s
-    return half_svd(stack, n3, compute_uv=compute_uv)
+        with np.errstate(all="ignore"):  # the norms of a non-finite stack
+            tau = rank_tol * (w @ _fro_norms(stack)) / (n3 * math.sqrt(min(n1, n2)))
+        s = np.empty((h, l))
+        if compute_uv:  # else each batch's vectors are dropped with it
+            u, vh = np.empty((h, n1, l), dtype=np.complex128), np.empty((h, l, n2), dtype=np.complex128)
+        start = np.random.default_rng(0).standard_normal((h, n2, l))
+        for pos, a, v in _batches(n3, stack, start):
+            bu, s[pos], bvh, ok = _subspace_svd(a, v, tau)
+            if not ok.all():
+                break
+            if compute_uv:
+                u[pos], vh[pos] = bu, bvh
+        else:
+            with np.errstate(all="ignore"):  # sums of values near the float64 limit
+                avg = w @ s / n3
+                certified = not np.any(np.abs(avg - rank_tol * avg.max()) <= tau)
+    if not certified:
+        u, s, vh = half_svd(stack, n3) if compute_uv else (None, half_svd(stack, n3, compute_uv=False), None)
+    r = rank_above(w @ s / n3, rank_tol)
+    return (u[:, :, :r], s[:, :r], vh[:, :r]) if compute_uv else s[:, :r]
 
 
 def inner(a, b):

@@ -58,22 +58,13 @@ def tsvd(a):
     return _factors(u, s, vh, n3, "full")
 
 
-def _avg_singvals(sbar, n3):
-    return (half_weights(n3) @ sbar) / n3
-
-
-def _rank_from_avg(avg, rank_tol):
-    return int(np.count_nonzero(avg > rank_tol * avg.max(initial=0.0)))
-
-
 def skinny_tsvd(a):
     """Rank-truncated t-SVD with u: (n1, r, n3), s: (r, r, n3), v: (n2, r, n3),
-    from the leading Fourier triplets that ``core.leading_half_svd`` gives."""
+    from the tubal rank's Fourier triplets that ``core.leading_half_svd``
+    gives."""
     a = as_tensor3(a)
     n3 = a.shape[2]
-    u, s, vh = leading_half_svd(half_spectrum(a), n3, DEFAULT_RANK_TOL)
-    r = _rank_from_avg(_avg_singvals(s, n3), DEFAULT_RANK_TOL)
-    return _factors(u[:, :, :r], s[:, :r], vh[:, :r, :], n3, "skinny")
+    return _factors(*leading_half_svd(half_spectrum(a), n3, DEFAULT_RANK_TOL), n3, "skinny")
 
 
 def singular_values(a):
@@ -81,19 +72,16 @@ def singular_values(a):
     average of the per-slice Fourier singular values."""
     a = as_tensor3(a)
     n3 = a.shape[2]
-    return _avg_singvals(half_svd(half_spectrum(a), n3, compute_uv=False), n3)
+    return half_weights(n3) @ half_svd(half_spectrum(a), n3, compute_uv=False) / n3
 
 
 def tubal_rank(a, rank_tol=DEFAULT_RANK_TOL):
-    """Number of singular values above rank_tol relative to the largest,
-    counted off the leading values that ``core.leading_half_svd`` certifies,
-    else off every value."""
+    """Number of singular values above rank_tol relative to the largest: the
+    columns of the values that ``core.leading_half_svd`` returns."""
     if is_bool(rank_tol) or not rank_tol > 0:
         raise ValueError(f"rank_tol must be positive, got {rank_tol}")
     a = as_tensor3(a)
-    n3 = a.shape[2]
-    s = leading_half_svd(half_spectrum(a), n3, rank_tol, compute_uv=False)
-    return _rank_from_avg(_avg_singvals(s, n3), rank_tol)
+    return leading_half_svd(half_spectrum(a), a.shape[2], rank_tol, compute_uv=False).shape[1]
 
 
 def average_rank(a):

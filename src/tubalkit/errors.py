@@ -10,7 +10,7 @@ class ShapeMismatch(ValueError):
 
 
 class NumericalFailure(RuntimeError):
-    """A per-slice SVD did not converge."""
+    """A per-slice SVD did not converge or returned a non-finite singular value."""
 
 
 class RankOutOfRange(ValueError):

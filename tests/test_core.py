@@ -643,13 +643,43 @@ def test_leading_half_svd_is_half_svds_unless_every_slice_certifies(monkeypatch,
     stack = half_spectrum(gen_low_tubal_rank(40, 30, n3, 3, seed=n3))
     exact = core.half_svd(stack, n3)
     u, s, vh = core.leading_half_svd(stack, n3, 1e-10)
-    assert (u.shape[2], s.shape[1], vh.shape[1]) == (30 // core.PARTIAL_SVD_FRACTION,) * 3
-    assert np.allclose(s[:, :3], exact[1][:, :3], rtol=1e-12, atol=0)
-    # One slice, the last, fails its certificate: the whole spectrum takes half_svd.
+    # The tubal rank's triplets, and no more.
+    assert (u.shape[2], s.shape[1], vh.shape[1]) == (3, 3, 3)
+    assert np.allclose(s, exact[1][:, :3], rtol=1e-12, atol=0)
+    # One slice, the last, fails its certificate: the whole spectrum takes
+    # half_svd, cut to the same 3 columns.
     passes = core._certified
     monkeypatch.setattr(core, "_certified", lambda x, uk, tau: passes(x, uk, tau) and not np.array_equal(x, stack[-1]))
-    for got, want in zip(core.leading_half_svd(stack, n3, 1e-10), exact):
+    leading = (exact[0][:, :, :3], exact[1][:, :3], exact[2][:, :3])
+    for got, want in zip(core.leading_half_svd(stack, n3, 1e-10), leading):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n3", [1, 2, 7])
+def test_a_linalg_error_in_the_partial_svd_takes_the_exact_path(monkeypatch, n3):
+    # A Rayleigh-Ritz step that fails to converge leaves its whole batch
+    # uncertified, so every slice takes the full SVD, bit for bit.
+    stack, h, tau = half_spectrum(gen_low_tubal_rank(40, 30, n3, 3, seed=n3)), n3 // 2 + 1, 1.0
+    exact = half_svt(stack.copy(), n3, tau)
+    u, s, vh = core.half_svd(stack, n3)
+    values = core.half_svd(stack, n3, compute_uv=False)
+    failures = []
+
+    def eigh(*args, **kwargs):
+        failures.append(args[0].shape)
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    warm = WarmStart(rank=3)
+    assert half_svt(stack.copy(), n3, tau, warm).tobytes() == exact.tobytes()
+    assert failures and (warm.certified, warm.fallbacks) == (0, h)
+    # The leading triplets of the tubal rank, 3, are half_svd's.
+    failures.clear()
+    got = core.leading_half_svd(stack, n3, 1e-10)
+    for part, want in zip((got[0][:, :, :3], got[1][:, :3], got[2][:, :3]), (u[:, :, :3], s[:, :3], vh[:, :3])):
+        assert part.tobytes() == want.tobytes()
+    assert core.leading_half_svd(stack, n3, 1e-10, compute_uv=False)[:, :3].tobytes() == values[:, :3].tobytes()
+    assert failures
 
 
 def test_exact_half_svt_rebuilds_real_slices_in_place():
