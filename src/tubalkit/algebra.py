@@ -8,14 +8,15 @@ followed by the inverse real FFT.
 
 import numpy as np
 
-from .core import as_tensor3, from_half_spectrum, half_matmul, half_spectrum, is_bool, is_integer
+from .core import as_finite_tensor3, as_tensor3, check_dims, from_half_spectrum, half_matmul, half_spectrum, is_bool
 from .errors import ShapeMismatch
 
 
 def tprod(a, b):
-    """t-product a * b -> tensor of shape (n1, l, n3)."""
-    a = as_tensor3(a)
-    b = as_tensor3(b)
+    """t-product a * b -> tensor of shape (n1, l, n3); a NaN or infinite
+    entry in either operand is a NonFiniteInput."""
+    a = as_finite_tensor3(a)
+    b = as_finite_tensor3(b)
     n1, n2, n3 = a.shape
     if b.shape[0] != n2 or b.shape[2] != n3:
         raise ShapeMismatch(f"cannot t-multiply {a.shape} by {b.shape}")
@@ -31,8 +32,7 @@ def ctranspose(a):
 
 def identity_tensor(n, n3):
     """n x n x n3 tensor whose slice 0 is the identity, other slices zero."""
-    if not all(map(is_integer, (n, n3))) or n < 1 or n3 < 1:
-        raise ShapeMismatch(f"identity tensor needs positive integer dims, got ({n}, {n3})")
+    check_dims(n, n, n3, least=1)
     out = np.zeros((n, n, n3))
     out[:, :, 0] = np.eye(n)
     return out

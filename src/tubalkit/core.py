@@ -2,7 +2,10 @@
 
 A tensor here is a real float64 ndarray of shape (n1, n2, n3): frontal slice
 k is ``a[:, :, k]`` and tube (i, j) is ``a[i, j, :]``. The mode-3 DFT uses the
-unnormalized forward / (1/n3)-scaled inverse convention.
+unnormalized forward / (1/n3)-scaled inverse convention. The rules for a
+tensor input are written once, here: ``as_tensor3`` for its type and shape,
+``check_dims`` for dimensions given as numbers and ``as_finite_tensor3`` for
+an input that must be finite.
 
 The spectrum of a real tensor is conjugate symmetric, so Fourier slices
 0..n3 // 2 carry all of it. Every Fourier-domain path works on that half
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure, ShapeMismatch
+from .errors import NonFiniteInput, NumericalFailure, ShapeMismatch
 
 
 def as_tensor3(a):
@@ -50,6 +53,23 @@ def as_tensor3(a):
     if a.ndim != 3 or a.shape[2] == 0:
         raise ShapeMismatch(f"expected a 3-way tensor with n3 >= 1, got shape {a.shape}")
     return a
+
+
+def as_finite_tensor3(a):
+    """``as_tensor3`` for an input that must be finite: a NaN or infinite
+    entry is a NonFiniteInput."""
+    a = as_tensor3(a)
+    if not np.isfinite(a).all():
+        raise NonFiniteInput("input tensor contains NaN or Inf")
+    return a
+
+
+def check_dims(n1, n2, n3, least=0):
+    """The rule of as_tensor3 for dimensions given as numbers: integers, n1 and
+    n2 at least `least`, n3 >= 1."""
+    dims = (n1, n2, n3)
+    if not all(map(is_integer, dims)) or min(n1, n2) < least or n3 < 1:
+        raise ShapeMismatch(f"need integers n1, n2 >= {least} and n3 >= 1, got {dims}")
 
 
 def is_bool(x):
@@ -362,9 +382,11 @@ def half_svt(stack, n3, tau, warm=None):
 
 
 def rank_above(avg, rank_tol):
-    """How many of the averaged singular values avg exceed rank_tol times the
-    largest: the tubal rank at rank_tol, the one place that counts it."""
-    return int(np.count_nonzero(avg > rank_tol * avg.max(initial=0.0)))
+    """How many of the singular values avg exceed rank_tol times the largest
+    of all, counted along the last axis: the tubal rank at rank_tol, the one
+    place that counts it. A cut beyond the float64 range counts none."""
+    with np.errstate(over="ignore"):
+        return np.count_nonzero(avg > rank_tol * avg.max(initial=0.0), axis=-1)
 
 
 def leading_half_svd(stack, n3, rank_tol, compute_uv=True):

@@ -21,6 +21,7 @@ from .core import (
     is_bool,
     is_integer,
     leading_half_svd,
+    rank_above,
 )
 from .errors import RankOutOfRange
 
@@ -88,9 +89,7 @@ def average_rank(a):
     """Mean matrix rank of the Fourier slices, a lower bound on tubal rank."""
     a = as_tensor3(a)
     n3 = a.shape[2]
-    sbar = half_svd(half_spectrum(a), n3, compute_uv=False)
-    smax = float(sbar.max(initial=0.0))
-    counts = (sbar > DEFAULT_RANK_TOL * smax).sum(axis=1)
+    counts = rank_above(half_svd(half_spectrum(a), n3, compute_uv=False), DEFAULT_RANK_TOL)
     return float(half_weights(n3) @ counts) / n3
 
 

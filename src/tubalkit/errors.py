@@ -30,7 +30,10 @@ class DataError(ValueError):
 
 
 class NonFiniteInput(DataError):
-    """Input tensor contains NaN or Inf."""
+    """Input tensor contains NaN or Inf. Raised by ``core.as_finite_tensor3``
+    alone, through which ``solve``, ``tprod`` (and ``is_orthogonal``),
+    ``io.psnr`` and ``io.tensor_to_image`` take their tensors; the t-SVD and
+    norm functions raise NumericalFailure for such a tensor instead."""
 
 
 class BadMagic(DataError):

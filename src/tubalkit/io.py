@@ -19,12 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import as_tensor3, is_bool, linf_norm, runs
+from .core import as_finite_tensor3, as_tensor3, is_bool, linf_norm, runs
 from .errors import (
     BadMagic,
     DimensionOverflow,
     MalformedHeader,
-    NonFiniteInput,
     ShapeMismatch,
     Truncated,
     UnsupportedFormat,
@@ -115,12 +114,10 @@ def tensor_to_image(a):
     """Encode an (n1, n2, 3) tensor as P6 bytes: clamp to [0, 1], scale to
     0..255, round half up. An empty image or a non-finite entry, which no
     pixel value stands for, is rejected."""
-    a = as_tensor3(a)
+    a = as_finite_tensor3(a)
     n1, n2, n3 = a.shape
     if n3 != 3 or a.size == 0:
         raise ShapeMismatch(f"image tensor needs n1, n2 >= 1 and 3 channels, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NonFiniteInput("image tensor contains NaN or Inf")
     levels = np.clip(a, 0.0, 1.0)  # the one float buffer, scaled and rounded in place
     levels *= 255.0
     levels += 0.5
@@ -180,12 +177,10 @@ def psnr(reference, estimate):
     before it is squared, and halved first if the difference overflows. A
     non-finite entry is a NonFiniteInput.
     """
-    reference = as_tensor3(reference)
-    estimate = as_tensor3(estimate)
+    reference = as_finite_tensor3(reference)
+    estimate = as_finite_tensor3(estimate)
     if reference.shape != estimate.shape:
         raise ShapeMismatch(f"shape {reference.shape} vs {estimate.shape}")
-    if not (np.isfinite(reference).all() and np.isfinite(estimate).all()):
-        raise NonFiniteInput("PSNR input contains NaN or Inf")
     peak = linf_norm(reference)
     if peak == 0.0:
         raise ZeroReference("PSNR reference has zero peak")

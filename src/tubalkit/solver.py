@@ -32,15 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .core import WarmStart, as_tensor3, from_half_spectrum, half_spectrum, half_svt, linf_norm, runs
-from .errors import NonFiniteInput
+from .core import WarmStart, from_half_spectrum, half_spectrum, half_svt, linf_norm, runs
 from .prox import soft_threshold
 
 
 def default_lambda(n1, n2, n3):
     """Regularization weight 1 / sqrt(max(n1, n2) * n3)."""
-    if not all(map(core.is_integer, (n1, n2, n3))) or min(n1, n2, n3) < 1:
-        raise ValueError(f"dimensions must be positive integers, got ({n1}, {n2}, {n3})")
+    core.check_dims(n1, n2, n3, least=1)
     return 1.0 / math.sqrt(max(n1, n2) * n3)
 
 
@@ -94,9 +92,7 @@ class Solution:
 
 def solve(x, cfg=None):
     """Decompose x into a low-tubal-rank part and a sparse part."""
-    x = as_tensor3(x)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("input tensor contains NaN or Inf")
+    x = core.as_finite_tensor3(x)
     if cfg is None:
         cfg = SolverConfig()
     lam = cfg.lam if cfg.lam is not None else default_lambda(*x.shape)

@@ -13,21 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ctranspose, tprod
-from .core import fro_norm, is_bool, is_integer
-from .errors import CountOutOfRange, RankOutOfRange, ShapeMismatch
+from .core import check_dims, fro_norm, is_bool, is_integer
+from .errors import CountOutOfRange, RankOutOfRange
 from .solver import SolverConfig, solve
-
-
-def _check_dims(n1, n2, n3, least=0):
-    """The rule of as_tensor3: integer dimensions, n1 and n2 at least `least`, n3 >= 1."""
-    dims = (n1, n2, n3)
-    if not all(map(is_integer, dims)) or min(n1, n2) < least or n3 < 1:
-        raise ShapeMismatch(f"need integers n1, n2 >= {least} and n3 >= 1, got {dims}")
 
 
 def gen_low_tubal_rank(n1, n2, n3, r, seed):
     """Tubal-rank-r tensor p * q^T with factor entries N(0, 1/n1)."""
-    _check_dims(n1, n2, n3)
+    check_dims(n1, n2, n3)
     if not is_integer(r) or not 0 <= r <= min(n1, n2):
         raise RankOutOfRange(f"rank must be an integer in [0, {min(n1, n2)}], got {r}")
     rng = np.random.default_rng(seed)
@@ -45,7 +38,7 @@ def gen_sparse_bernoulli(n1, n2, n3, m_or_rho, mode, seed):
     mode="rho": each entry independently +1 or -1 with probability rho/2 each,
     0 otherwise.
     """
-    _check_dims(n1, n2, n3)
+    check_dims(n1, n2, n3)
     total = n1 * n2 * n3
     rng = np.random.default_rng(seed)
     out = np.zeros((n1, n2, n3))
@@ -87,7 +80,7 @@ def phase_grid(n, n3, r_fracs, rho_ss, trials, success_tol=1e-3, seed=0):
     low-rank part is at most ``success_tol``. Returns a list of rows, one per
     r_frac, each a list of PhaseCell per rho_s.
     """
-    _check_dims(n, n, n3, least=1)
+    check_dims(n, n, n3, least=1)
     r_fracs = list(r_fracs)
     rho_ss = list(rho_ss)
     if not r_fracs or not rho_ss:

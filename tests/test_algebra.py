@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tubalkit.algebra import ctranspose, identity_tensor, is_fdiagonal, is_orthogonal, tprod
 from tubalkit.core import fro_norm
 from tubalkit.decomposition import tsvd
-from tubalkit.errors import ShapeMismatch
+from tubalkit.errors import NonFiniteInput, ShapeMismatch
 
 from oracles import bcirc, dft3, fold, unfold
 
@@ -61,6 +61,21 @@ def test_tprod_shape_mismatch():
         tprod(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)))
     with pytest.raises(ShapeMismatch):
         tprod(np.zeros((2, 3, 4)), np.zeros((3, 2, 5)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [
+    lambda q: tprod(q, np.ones((3, 3, 4))),
+    lambda q: tprod(np.ones((3, 3, 4)), q),
+    is_orthogonal,
+], ids=["left", "right", "is_orthogonal"])
+def test_a_non_finite_operand_is_a_non_finite_input(call, bad):
+    # Unchecked, the operand's spectrum carries NaN through the slice products
+    # and comes back as NaN tubes; is_orthogonal reads them through tprod.
+    q = identity_tensor(3, 4)
+    q[0, 2, 1] = bad
+    with pytest.raises(NonFiniteInput):
+        call(q)
 
 
 def test_tprod_associative():

@@ -4,6 +4,7 @@ and the package layering around the half-spectrum kernel."""
 import ast
 import dataclasses
 import inspect
+import itertools
 import math
 from pathlib import Path
 
@@ -262,6 +263,19 @@ def test_empty_third_mode_is_rejected():
     ):
         with pytest.raises(ShapeMismatch):
             call()
+
+
+def test_check_dims_is_the_rule_of_as_tensor3():
+    # The generators, default_lambda and identity_tensor take dimensions as
+    # numbers; check_dims rejects exactly the shapes that as_tensor3 rejects.
+    for dims in itertools.product(range(4), repeat=3):
+        try:
+            core.as_tensor3(np.empty(dims))
+        except ShapeMismatch:
+            with pytest.raises(ShapeMismatch):
+                core.check_dims(*dims)
+        else:
+            core.check_dims(*dims)
 
 
 @pytest.mark.parametrize("flag", [True, False])
@@ -787,6 +801,19 @@ def test_numerical_failure_is_raised_in_one_function():
                 if "NumericalFailure" in names:
                     raisers.append((name, func.name))
     assert raisers == [("core.py", "_svd")]
+
+
+def test_non_finite_input_is_raised_in_one_function():
+    # solve, tprod, psnr and tensor_to_image reject NaN and Inf through one check.
+    raisers = set()
+    for name, tree in package_trees():
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                raises = [n for n in ast.walk(func) if isinstance(n, ast.Raise) and n.exc is not None]
+                if any(isinstance(x, ast.Name) and x.id == "NonFiniteInput"
+                       for r in raises for x in ast.walk(r.exc)):
+                    raisers.add((name, func.name))
+    assert raisers == {("core.py", "as_finite_tensor3")}
 
 
 def test_no_module_reads_the_environment():

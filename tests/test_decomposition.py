@@ -9,6 +9,7 @@ from tubalkit import core
 from tubalkit.algebra import ctranspose, identity_tensor, is_fdiagonal, is_orthogonal, tprod
 from tubalkit.core import fro_norm
 from tubalkit.decomposition import (
+    DEFAULT_RANK_TOL,
     average_rank,
     best_rank_k,
     singular_values,
@@ -388,6 +389,24 @@ def test_average_rank_bounded_by_tubal_rank():
     for shape in [(3, 3, 4), (4, 2, 5)]:
         b = rng.normal(size=shape)
         assert average_rank(b) <= tubal_rank(b) + 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(n1=st.integers(0, 12), n2=st.integers(0, 12), n3=st.sampled_from([1, 2, 3, 8]),
+       rank=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+def test_average_rank_is_the_weighted_count_of_each_slice_property(n1, n2, n3, rank, seed):
+    # Each Fourier slice counts its values above DEFAULT_RANK_TOL times the
+    # largest of all slices, weighted by its multiplicity in the full spectrum.
+    a = rank_r_tensor(n1, n2, n3, min(rank, n1, n2), seed)
+    s = core.half_svd(core.half_spectrum(a), n3, compute_uv=False)
+    counts = (s > DEFAULT_RANK_TOL * float(s.max(initial=0.0))).sum(axis=1)
+    assert average_rank(a) == float(core.half_weights(n3) @ counts) / n3
+
+
+def test_a_cut_beyond_the_float64_range_counts_nothing():
+    # rank_tol times the largest value overflows to inf, which no value exceeds.
+    a = 1e10 * np.random.default_rng(12).normal(size=(5, 5, 4))
+    assert tubal_rank(a, 1e300) == 0
 
 
 @pytest.mark.parametrize("rank_fn", [tubal_rank])
