@@ -14,13 +14,18 @@ from .errors import ShapeMismatch
 
 def tprod(a, b):
     """t-product a * b -> tensor of shape (n1, l, n3); a NaN or infinite
-    entry in either operand is a NonFiniteInput."""
+    entry in either operand is a NonFiniteInput, and finite operands whose
+    spectra or product overflow float64 are an OverflowError."""
     a = as_finite_tensor3(a)
     b = as_finite_tensor3(b)
     n1, n2, n3 = a.shape
     if b.shape[0] != n2 or b.shape[2] != n3:
         raise ShapeMismatch(f"cannot t-multiply {a.shape} by {b.shape}")
-    return from_half_spectrum(half_matmul(half_spectrum(a), half_spectrum(b), n3), n3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = from_half_spectrum(half_matmul(half_spectrum(a), half_spectrum(b), n3), n3)
+    if not np.isfinite(out).all():
+        raise OverflowError(f"the t-product of {a.shape} by {b.shape} overflows float64")
+    return out
 
 
 def ctranspose(a):

@@ -4,7 +4,11 @@ Four subcommands: ``decompose`` runs the solver on a T3F1 tensor file,
 ``synth`` generates and solves a synthetic low-rank + sparse instance,
 ``phase`` runs a phase-transition grid, and ``image`` corrupts and recovers a
 P6 image. All reports are machine-first JSON/CSV; plotting is left to
-external tools.
+external tools. The ``tubal_rank`` and ``tnn`` of a report are read off the
+singular values that the solve's last thresholding kept, with no SVD after
+the solve. A non-finite number is written as the string "inf", "-inf" or
+"nan", except an infinite PSNR, an exact match, which ``image`` writes as
+"exact".
 
 Exit codes: 0 ok, 1 I/O or format error (unreadable or unwritable file, bad
 file or image contents, non-finite tensor), 2 solver did not converge,
@@ -22,7 +26,6 @@ import numpy as np
 
 from . import io
 from .core import l1_norm, fro_norm, rank_above
-from .decomposition import singular_values
 from .errors import DataError, NumericalFailure
 from .solver import SolverConfig, solve
 from .synth import gen_low_tubal_rank, gen_sparse_bernoulli, phase_grid
@@ -124,14 +127,6 @@ def _emit_report(args, x, sol, fields):
     return EXIT_OK if sol.converged else EXIT_NOT_CONVERGED
 
 
-def _low_rank_fields(l_hat):
-    """L's tubal rank at SOLUTION_RANK_TOL, counted by core.rank_above, and its
-    TNN, as tubal_rank and tnn compute them, from one values-only SVD of its
-    half spectrum."""
-    sv = singular_values(l_hat)
-    return rank_above(sv, SOLUTION_RANK_TOL), float(np.sum(sv))
-
-
 def _rel_err(estimate, truth):
     """Relative Frobenius error; the absolute one for a zero truth."""
     return fro_norm(estimate - truth) / (fro_norm(truth) or 1.0)
@@ -144,10 +139,9 @@ def cmd_decompose(args):
         io.write_tensor(args.out_l, sol.l_hat)
     if args.out_e:
         io.write_tensor(args.out_e, sol.e_hat)
-    rank, nuclear = _low_rank_fields(sol.l_hat)
     return _emit_report(args, x, sol, {
-        "tubal_rank": rank,
-        "tnn": nuclear,
+        "tubal_rank": rank_above(sol.l_singular_values, SOLUTION_RANK_TOL),
+        "tnn": float(np.sum(sol.l_singular_values)),
         "l1": l1_norm(sol.e_hat),
     })
 
@@ -163,21 +157,20 @@ def cmd_synth(args):
     e0 = gen_sparse_bernoulli(args.n1, args.n2, args.n3, value, mode, sp_seed)
     x = l0 + e0
     sol = _solve(x, args)
-    rank, nuclear = _low_rank_fields(sol.l_hat)
     # Recovery-table columns: instance parameters plus recovered rank,
     # support size, and relative errors.
     table = {
         "n1": args.n1, "n2": args.n2, "n3": args.n3,
         "rank": args.rank,
         "m": int(np.count_nonzero(e0)),
-        "tubal_rank": rank,
+        "tubal_rank": rank_above(sol.l_singular_values, SOLUTION_RANK_TOL),
         "recovered_nnz": int(np.count_nonzero(sol.e_hat)),
         "rel_err_l": _rel_err(sol.l_hat, l0),
         "rel_err_e": _rel_err(sol.e_hat, e0),
     }
     code = _emit_report(args, x, sol, {
         **table,
-        "tnn": nuclear,
+        "tnn": float(np.sum(sol.l_singular_values)),
         "l1": l1_norm(sol.e_hat),
     })
     if args.csv:
@@ -203,11 +196,13 @@ def cmd_image(args):
     with open(args.out, "wb") as fh:
         fh.write(recovered_bytes)
     # PSNR of the recovered image is measured on the written (quantized)
-    # pixels, so a clean roundtrip reports the exact-match sentinel.
+    # pixels, so a clean roundtrip reports the exact-match sentinel, the
+    # string "exact" in place of an infinite PSNR.
     recovered = io.image_to_tensor(recovered_bytes)
     return _emit_report(args, corrupted, sol, {
-        "psnr_corrupted": io.psnr(original, corrupted),
-        "psnr_recovered": io.psnr(original, recovered),
+        key: "exact" if value == math.inf else value
+        for key, value in (("psnr_corrupted", io.psnr(original, corrupted)),
+                           ("psnr_recovered", io.psnr(original, recovered)))
     })
 
 

@@ -16,7 +16,8 @@ even, are their own conjugates and therefore real. ``half_matmul`` and
 ``half_svd``, the per-slice SVD behind every t-SVD and norm, keep them in
 real arithmetic, so for n3 = 1 every path reduces to the matrix computation
 bit for bit. ``half_svt``, the singular value thresholding behind ``tsvt``
-and the solve, does too, and overwrites the stack it is given. It alone
+and the solve, does too, overwrites the stack it is given and keeps the
+singular values of its result in the solve's ``WarmStart``. It alone
 decides when a slice of the solve may take a certified partial SVD, started
 from its ``WarmStart``'s vectors, and thresholds every other slice exactly. The
 partial SVD is a shifted subspace iteration: each cycle is one Rayleigh-Ritz
@@ -119,6 +120,16 @@ def half_weights(n3):
     w = np.full(n3 // 2 + 1, 2.0)
     w[real_slices(n3)] = 1.0
     return w
+
+
+def average_singular_values(s, n3):
+    """The t-SVD singular values from the singular values s, (h, k), of the
+    half-spectrum slices: their mean over all n3 Fourier slices, the one place
+    that averages them. For s < 2^e and n3 < 2^f the sum is below 2^(e + f),
+    so it is taken at the scale 2^-(e + f - 1023) where e + f exceeds 1023:
+    a finite mean stays finite, and a power of two changes no other bit."""
+    shift = max(0, math.frexp(s.max(initial=0.0))[1] + math.frexp(n3)[1] - 1023)
+    return half_weights(n3) @ np.ldexp(s, -shift) / n3 * 2.0**shift
 
 
 def half_matmul(a, b, n3):
@@ -308,11 +319,12 @@ def _subspace_svd(a, v, tau):
 class WarmStart:
     """State that ``half_svt`` carries from one call to the next within one
     solve, hence for one shape: the leading right singular vectors of every
-    half-spectrum slice and the largest kept rank, plus the counts of slice
-    SVDs the partial path certified and of those that fell back to the exact
-    SVD."""
+    half-spectrum slice, the singular values that the last call kept and their
+    largest count on a slice, plus the counts of slice SVDs the partial path
+    certified and of those that fell back to the exact SVD."""
 
     basis: np.ndarray | None = None  # (h, n2, l) right singular vectors
+    kept: np.ndarray | None = None  # (h, min(n1, n2)) max(s - tau, 0), nonincreasing rows
     rank: int = 0
     certified: int = 0
     fallbacks: int = 0
@@ -336,8 +348,9 @@ def half_svt(stack, n3, tau, warm=None):
     Every other slice, NaN included, takes the full SVD and the same rebuild
     as without a ``WarmStart``, so it is thresholded exactly. Every slice is
     rebuilt in place, a real one in real arithmetic. ``warm`` keeps the l
-    leading right singular vectors, the largest kept rank and the counts of
-    certified and fallen-back slices.
+    leading right singular vectors, each slice's kept values max(s - tau, 0),
+    which are the singular values of the result, the largest kept rank that
+    they count and the counts of certified and fallen-back slices.
     """
     h, n1, n2 = stack.shape
     l = 0 if warm is None else warm.rank + OVERSAMPLE
@@ -353,7 +366,7 @@ def half_svt(stack, n3, tau, warm=None):
     if warm is not None:  # a previous basis not reused is freed now; this one is filled batch by batch
         warm.basis = basis
 
-    rank = certified = 0
+    kept, certified = np.zeros((h, min(n1, n2))), 0  # kept: each slice's max(s - tau, 0)
     for pos, a, start in _batches(n3, stack, basis):
         ok, triplets = np.zeros(len(a), dtype=bool), None
         if l:
@@ -369,12 +382,11 @@ def half_svt(stack, n3, tau, warm=None):
                 triplets = None  # freed before the full SVD
                 u, s, vh = _svd(a[view], full_matrices=False)
             basis[pos][view] = _ct(vh[:, :l])
-            u *= np.maximum(s - tau, 0.0)[:, None, :]
+            u *= np.maximum(s - tau, 0.0, out=kept[pos][view, :s.shape[1]])[:, None, :]
             np.matmul(u, vh, out=stack[pos][view])
-            rank = max(rank, int(np.count_nonzero(s > tau, axis=1).max()))
             del u, s, vh  # freed before the next part's SVD
     if warm is not None:
-        warm.rank = rank
+        warm.kept, warm.rank = kept, int(np.count_nonzero(kept, axis=1).max())
         if l:
             warm.certified += certified
             warm.fallbacks += h - certified
@@ -425,12 +437,12 @@ def leading_half_svd(stack, n3, rank_tol, compute_uv=True):
             if compute_uv:
                 u[pos], vh[pos] = bu, bvh
         else:
-            with np.errstate(all="ignore"):  # sums of values near the float64 limit
-                avg = w @ s / n3
+            avg = average_singular_values(s, n3)
+            with np.errstate(all="ignore"):  # a cut beyond the float64 range, or a non-finite tau
                 certified = not np.any(np.abs(avg - rank_tol * avg.max()) <= tau)
     if not certified:
         u, s, vh = half_svd(stack, n3) if compute_uv else (None, half_svd(stack, n3, compute_uv=False), None)
-    r = rank_above(w @ s / n3, rank_tol)
+    r = rank_above(average_singular_values(s, n3), rank_tol)
     return (u[:, :, :r], s[:, :r], vh[:, :r]) if compute_uv else s[:, :r]
 
 

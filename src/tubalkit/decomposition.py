@@ -13,6 +13,7 @@ import numpy as np
 
 from .core import (
     as_tensor3,
+    average_singular_values,
     from_half_spectrum,
     half_matmul,
     half_spectrum,
@@ -73,7 +74,7 @@ def singular_values(a):
     average of the per-slice Fourier singular values."""
     a = as_tensor3(a)
     n3 = a.shape[2]
-    return half_weights(n3) @ half_svd(half_spectrum(a), n3, compute_uv=False) / n3
+    return average_singular_values(half_svd(half_spectrum(a), n3, compute_uv=False), n3)
 
 
 def tubal_rank(a, rank_tol=DEFAULT_RANK_TOL):

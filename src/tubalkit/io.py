@@ -171,11 +171,11 @@ def corrupt_pixels(a, fraction, seed):
 def psnr(reference, estimate):
     """Peak signal-to-noise ratio in dB, with the reference max-norm as peak.
 
-    Returns math.inf when the estimate matches the reference exactly; report
-    writers render that sentinel as the string "exact". Any other pair of
-    finite tensors gets a finite value: the error is scaled by its max-norm
-    before it is squared, and halved first if the difference overflows. A
-    non-finite entry is a NonFiniteInput.
+    Returns math.inf when the estimate matches the reference exactly; the
+    CLI's image report writes that sentinel as the string "exact". Any other
+    pair of finite tensors gets a finite value: the error is scaled by its
+    max-norm before it is squared, and halved first if the difference
+    overflows. A non-finite entry is a NonFiniteInput.
     """
     reference = as_finite_tensor3(reference)
     estimate = as_finite_tensor3(estimate)
@@ -198,16 +198,17 @@ def psnr(reference, estimate):
 
 
 def _report_values(fields):
-    """Report fields as written: None-valued fields omitted, infinities as the
-    string "exact", numpy scalars as Python scalars."""
+    """Report fields as written: None-valued fields omitted, numpy scalars as
+    Python scalars, and a non-finite float as the string "inf", "-inf" or
+    "nan", which JSON can hold."""
     clean = {}
     for key, value in fields.items():
         if value is None:
             continue
-        if isinstance(value, float) and math.isinf(value):
-            value = "exact"
         if isinstance(value, (np.floating, np.integer)):
             value = value.item()
+        if isinstance(value, float) and not math.isfinite(value):
+            value = str(value)
         clean[key] = value
     return clean
 
@@ -215,8 +216,9 @@ def _report_values(fields):
 def render_report(fields):
     """Canonical JSON for experiment reports.
 
-    None-valued fields are omitted, infinities become the string "exact", and
-    keys are sorted, so identical runs produce identical bytes.
+    None-valued fields are omitted, non-finite floats become the strings
+    "inf", "-inf" and "nan", and keys are sorted, so identical runs produce
+    identical bytes.
     """
     return json.dumps(_report_values(fields), sort_keys=True, indent=2) + "\n"
 

@@ -71,6 +71,10 @@ class Solution:
     """Recovered pair plus convergence diagnostics.
 
     ``lam`` is the regularization weight the solve used.
+    ``l_singular_values`` are the t-SVD singular values of ``l_hat``,
+    min(n1, n2) of them, nonincreasing: the mean over all Fourier slices of
+    max(s - tau, 0), the values that the solve's last thresholding kept. They
+    equal ``singular_values(l_hat)`` to rounding and take no SVD of their own.
     ``residual_history[k]`` is the max of the three stopping quantities at
     iteration k; ``final_residual`` is the feasibility gap at exit.
     ``svd_certified`` and ``svd_fallbacks`` count the half-spectrum slice SVDs
@@ -85,6 +89,7 @@ class Solution:
     final_residual: float
     converged: bool
     lam: float
+    l_singular_values: np.ndarray
     residual_history: list[float] = field(default_factory=list)
     svd_certified: int = 0
     svd_fallbacks: int = 0
@@ -142,6 +147,7 @@ def solve(x, cfg=None):
         final_residual=dfit,
         converged=converged,
         lam=lam,
+        l_singular_values=core.average_singular_values(warm.kept, n3),
         residual_history=history,
         svd_certified=warm.certified,
         svd_fallbacks=warm.fallbacks,

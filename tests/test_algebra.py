@@ -78,6 +78,17 @@ def test_a_non_finite_operand_is_a_non_finite_input(call, bad):
         call(q)
 
 
+@pytest.mark.parametrize("a, b", [
+    (np.full((3, 3, 4), 1e308), np.ones((3, 3, 4))),  # the left spectrum overflows
+    (np.full((3, 3, 4), 1e200), np.full((3, 3, 4), 1e200)),  # the slice products overflow
+], ids=["spectrum", "product"])
+def test_a_product_that_overflows_is_an_overflow_error(a, b):
+    # Finite operands, but unchecked the product came back as NaN tubes with a
+    # RuntimeWarning, which the suite turns into an error.
+    with pytest.raises(OverflowError):
+        tprod(a, b)
+
+
 def test_tprod_associative():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(3, 4, 5))

@@ -53,14 +53,15 @@ def test_decompose_reports_partial_svd_counts(tmp_path):
     assert data["svd_certified"] + data["svd_fallbacks"] <= data["iters"] * (4 // 2 + 1)
 
 
-def test_decompose_report_takes_one_values_only_svd(tmp_path, monkeypatch):
-    # tubal_rank and tnn are both read off L's singular values, taken once, and
-    # equal what the two functions report on their own.
+def test_decompose_report_takes_no_svd_after_the_solve(tmp_path, monkeypatch):
+    # tubal_rank and tnn are both read off the singular values that the solve's
+    # last thresholding kept, and equal what the two functions report on their
+    # own, tnn to rounding.
     real = core.half_svd
-    values_only = []
+    calls = []
 
     def spy(*args, **kwargs):
-        values_only.append(not kwargs.get("compute_uv", True))
+        calls.append(kwargs)
         return real(*args, **kwargs)
 
     for module in (core, decomposition, norms):
@@ -69,12 +70,27 @@ def test_decompose_report_takes_one_values_only_svd(tmp_path, monkeypatch):
     report = tmp_path / "r.json"
     assert run_cli("decompose", "--input", tensor_file(tmp_path, x), "--out-l", str(tmp_path / "l.t3f"),
                    "--report", str(report)) == 0
-    assert values_only == [True]
+    assert calls == []
     monkeypatch.undo()
     data = json.loads(report.read_text())
     l_hat = io.read_tensor(tmp_path / "l.t3f")
     assert data["tubal_rank"] == decomposition.tubal_rank(l_hat, SOLUTION_RANK_TOL) == 2
-    assert data["tnn"] == norms.tnn(l_hat)
+    assert data["tnn"] == pytest.approx(norms.tnn(l_hat), rel=1e-12, abs=0)
+
+
+def test_decompose_counts_the_rank_of_values_whose_sum_overflows(tmp_path):
+    # The mean of each value over the Fourier slices is finite, though its sum
+    # is not: the rank is counted, not cut to 0. The TNN itself overflows, as
+    # norms.tnn's sum does, and is written as "inf", valid JSON.
+    x = np.random.default_rng(0).standard_normal((20, 20, 4)) * 1e307
+    report = tmp_path / "r.json"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = run_cli("decompose", "--input", tensor_file(tmp_path, x), "--max-iters", "20",
+                       "--report", str(report))
+    assert code == 2
+    data = json.loads(report.read_text(), parse_constant=pytest.fail)
+    assert data["tubal_rank"] == 20
+    assert data["tnn"] == "inf"
 
 
 def test_decompose_zero_tensor(tmp_path):

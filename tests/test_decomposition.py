@@ -281,6 +281,21 @@ def test_singular_values_nonincreasing():
         assert np.all(np.diff(sv) <= 1e-12)
 
 
+def test_averaged_values_whose_sum_overflows_stay_finite():
+    # Each slice's values near 1.6e308: their sum over the four Fourier slices
+    # overflows, their mean does not. Summed unscaled, the mean read inf, every
+    # value fell below the cut and a RuntimeWarning escaped.
+    x = np.random.default_rng(0).standard_normal((20, 20, 4)) * 1e307
+    sv = singular_values(x)
+    assert np.isfinite(sv).all()
+    assert sv[0] <= spectral_norm(x)
+    assert tubal_rank(x, 1e-6) == 20
+    # A power-of-two scale rounds no differently: summed at half scale, as
+    # here, a sum that does not overflow keeps its bytes.
+    s = core.half_svd(core.half_spectrum(x / 10), 4, compute_uv=False)
+    assert np.array_equal(core.average_singular_values(s, 4), core.half_weights(4) @ s / 4)
+
+
 def test_tubal_rank_of_product():
     a = rank_r_tensor(6, 6, 5, 3, seed=7)
     assert tubal_rank(a) == 3

@@ -413,10 +413,13 @@ def test_psnr_holds_one_tensor():
 
 
 def test_render_report_sentinel_and_omission():
-    text = io.render_report({"b": math.inf, "a": 1.5, "skip": None, "n": np.int64(3)})
-    data = json.loads(text)
-    assert data == {"a": 1.5, "b": "exact", "n": 3}
-    assert list(data) == ["a", "b", "n"]  # sorted keys
+    # A non-finite float is written as its name, valid JSON; only the image
+    # report's PSNR writes an infinity as "exact".
+    fields = {"b": math.inf, "a": 1.5, "skip": None, "n": np.int64(3), "c": np.float64(-math.inf),
+              "d": math.nan}
+    data = json.loads(io.render_report(fields), parse_constant=pytest.fail)
+    assert data == {"a": 1.5, "b": "inf", "c": "-inf", "d": "nan", "n": 3}
+    assert list(data) == ["a", "b", "c", "d", "n"]  # sorted keys
 
 
 def test_scalar_csv(tmp_path):
