@@ -366,7 +366,7 @@ def half_svt(stack, n3, tau, warm=None):
     if warm is not None:  # a previous basis not reused is freed now; this one is filled batch by batch
         warm.basis = basis
 
-    kept, certified = np.zeros((h, min(n1, n2))), 0  # kept: each slice's max(s - tau, 0)
+    kept, certified = np.zeros((h, min(n1, n2))), 0
     for pos, a, start in _batches(n3, stack, basis):
         ok, triplets = np.zeros(len(a), dtype=bool), None
         if l:
